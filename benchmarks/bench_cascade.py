@@ -23,22 +23,20 @@ work is shed at phase boundaries and the survivors keep producing.
   trip budget), while containment-off demonstrably does;
 * retry amplification (executed / useful kernels) stays <= 2x with the
   budget on;
-* with every containment feature off the results are byte-identical to
-  a config that never heard of containment, and the full stack enabled
-  but idle costs < 2% wall clock (paired-minimum methodology, as in
-  ``bench_hedging.py``).
+* with the full stack enabled but idle the results are identical to a
+  config that never heard of containment, at < 2% wall clock — the
+  ``cascade`` row of ``bench_overhead.py``, which arms this file's
+  :func:`containment` stack.
 
 ``results/bench_cascade.csv`` is the recovery timeline: per detection
 window, goodput/capacity ratio and brownout level, contained vs not.
 """
 
-import gc
-import time
 from pathlib import Path
 from statistics import median
 
 import pytest
-from conftest import once
+from conftest import dense_app, once
 
 from repro.analysis.tables import format_table, write_csv
 from repro.fleet import (
@@ -48,15 +46,6 @@ from repro.fleet import (
     TopologyConfig,
 )
 from repro.fleet.topology import FleetTopology
-from repro.framework.kernel import (
-    AppProfile,
-    Buffer,
-    KernelApp,
-    KernelPhase,
-    TransferPhase,
-)
-from repro.gpu.commands import CopyDirection
-from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.resilience import BrownoutConfig, RetryBudgetConfig
 from repro.resilience.faults import FaultKind, FaultPlan
 from repro.resilience.retry import RetryPolicy
@@ -66,9 +55,6 @@ DEVICES = 8
 RAILS = 4  # 2 devices per rail: losing one rail is 25% of the fleet
 WAVES_PER_DEVICE = 3
 APPS = DEVICES * WAVES_PER_DEVICE
-KERNELS = 40
-GRID_BLOCKS = 13 * 8 * 2  # two full K20 scheduling waves per launch
-BLOCK_DURATION = 50e-6
 #: Deadline slack past the fault-free completion: tight enough that a
 #: 25% capacity loss dooms the late waves, loose enough that the early
 #: waves always make it.
@@ -89,43 +75,6 @@ FAST_HEALTH = dict(
 )
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_cascade.json"
-
-#: Paired-minimum overhead loop (see bench_integrity_overhead.py). The
-#: budget stays fixed across scales: the effect under measurement is
-#: ~1% and a short repeat loop cannot resolve it from scheduler noise.
-#: The idle measurement runs a single wave (one app per device) so the
-#: budget buys enough paired repeats for the minima to converge — the
-#: per-event bookkeeping cost being measured does not depend on batch
-#: depth, and the three-wave scenario run is ~3x too slow to sample.
-TIME_BUDGET_S = 20.0
-MIN_REPEATS = 4
-IDLE_APPS = DEVICES
-
-
-def _dense_app(instance):
-    """One device-filling compute-dense app, checkpointed per kernel."""
-    buf = Buffer("data", 1 << 20)
-    kernel = KernelDescriptor(
-        name="dense",
-        grid=Dim3(GRID_BLOCKS),
-        block=Dim3(256),
-        block_duration=BLOCK_DURATION,
-    )
-    phases = [TransferPhase(CopyDirection.HTOD, (buf,))]
-    phases += [KernelPhase((kernel,)) for _ in range(KERNELS)]
-    phases.append(TransferPhase(CopyDirection.DTOH, (buf,)))
-    profile = AppProfile(
-        name="dense",
-        data_dim=f"{KERNELS}x{BLOCK_DURATION * 1e6:.0f}us",
-        host_allocs=(buf,),
-        device_allocs=(buf,),
-        phases=tuple(phases),
-    )
-    return KernelApp(profile, instance=instance)
-
-
-def _apps():
-    return [_dense_app(i) for i in range(APPS)]
 
 
 def _probe(rate, *, acting):
@@ -150,7 +99,8 @@ def _probe(rate, *, acting):
     )
 
 
-def _containment(rate):
+def containment(rate):
+    """The full containment stack, brownout probe calibrated to ``rate``."""
     return dict(
         topology=TopologyConfig(rails=RAILS),
         storm=StormControlConfig(
@@ -163,9 +113,9 @@ def _containment(rate):
     )
 
 
-def _run(knobs, plan=None, deadlines=None, apps=None):
+def _run(knobs, plan=None, deadlines=None):
     return FleetHarness(
-        [_dense_app(i) for i in range(apps)] if apps else _apps(),
+        [dense_app(i) for i in range(APPS)],
         FleetConfig(num_devices=DEVICES, seed=0, **knobs, **FAST_HEALTH),
         num_streams=1,
         plan=plan,
@@ -173,13 +123,19 @@ def _run(knobs, plan=None, deadlines=None, apps=None):
     ).run()
 
 
+def kernel_rate(clean):
+    """Per-device kernels/s of a fault-free run of the 8-device fleet."""
+    gpu0 = min(r.gpu_start for r in clean.records)
+    last = max(r.complete_time for r in clean.records)
+    total = sum(len(r.kernels) for r in clean.records)
+    return total / (last - gpu0) / DEVICES
+
+
 def _baseline():
     """(clean result, calibrated per-device kernel rate, deadlines)."""
     clean = _run({})
     gpu0 = min(r.gpu_start for r in clean.records)
-    last = max(r.complete_time for r in clean.records)
-    total = sum(len(r.kernels) for r in clean.records)
-    rate = total / (last - gpu0) / DEVICES
+    rate = kernel_rate(clean)
     deadlines = {
         r.app_id: r.complete_time + DEADLINE_SLACK_S for r in clean.records
     }
@@ -217,7 +173,7 @@ def _post_loss_ratios(result, loss_at):
 def _scenario():
     clean, gpu0, rate, deadlines = _baseline()
     plan = _blast(gpu0)
-    contained = _run(_containment(rate), plan=plan, deadlines=deadlines)
+    contained = _run(containment(rate), plan=plan, deadlines=deadlines)
     uncontained = _run(
         dict(brownout=_probe(rate, acting=False)),
         plan=plan,
@@ -323,82 +279,4 @@ def test_cascade_containment_recovers_goodput(benchmark, results_dir):
     )
     assert amp_on <= 2.0, (
         f"retry amplification {amp_on:.2f}x with budgets on (cap: 2x)"
-    )
-
-
-def _record_key(result):
-    return [
-        (r.app_id, r.spawn_time, r.gpu_start, r.complete_time, r.outcome)
-        for r in result.records
-    ]
-
-
-def _paired_minima(budget_s, rate, deadlines):
-    """(best off s, best on s, off key, on key, repeats) — fault-free."""
-    best = {False: float("inf"), True: float("inf")}
-    keys = {}
-    deadline = time.perf_counter() + budget_s
-    rep = 0
-    while rep < MIN_REPEATS or time.perf_counter() < deadline:
-        order = (False, True) if rep % 2 == 0 else (True, False)
-        for armed in order:
-            gc.collect()
-            t0 = time.perf_counter()
-            result = _run(
-                _containment(rate) if armed else {},
-                deadlines=deadlines if armed else None,
-                apps=IDLE_APPS,
-            )
-            best[armed] = min(best[armed], time.perf_counter() - t0)
-            keys[armed] = _record_key(result)
-            if armed:
-                assert result.shed_apps == 0
-                assert result.storm_queued == 0
-                assert result.retry_budget_granted == 0
-        rep += 1
-    return best[False], best[True], keys[False], keys[True], rep
-
-
-@pytest.mark.fleet
-def test_cascade_containment_idle_is_free(benchmark, results_dir):
-    clean = _run({}, apps=IDLE_APPS)
-    gpu0 = min(r.gpu_start for r in clean.records)
-    last = max(r.complete_time for r in clean.records)
-    total = sum(len(r.kernels) for r in clean.records)
-    rate = total / (last - gpu0) / DEVICES
-    # Deadlines no fault-free run can miss: shedding stays idle.
-    generous = {r.app_id: 2 * r.complete_time for r in clean.records}
-    # Warm both code paths before timing.
-    _run(_containment(rate), deadlines=generous, apps=IDLE_APPS)
-    off_s, on_s, off_key, on_key, reps = once(
-        benchmark, _paired_minima, TIME_BUDGET_S, rate, generous
-    )
-
-    # With no fault the whole stack observes and never acts: simulated
-    # results are identical, not merely close.
-    assert on_key == off_key
-
-    overhead_pct = (on_s - off_s) / off_s * 100.0
-    rows = [
-        {
-            "config": f"{DEVICES}dev x {IDLE_APPS} dense apps, no faults",
-            "repeats": reps,
-            "containment_off_s": off_s,
-            "containment_on_s": on_s,
-            "overhead_pct": overhead_pct,
-            "results_identical": True,
-        }
-    ]
-    print()
-    print(format_table(rows, title="Cascade containment — idle overhead"))
-    write_csv(rows, results_dir / "cascade_overhead.csv")
-    record_trajectory_point(
-        TRAJECTORY_PATH,
-        "bench_cascade",
-        {"idle_overhead_pct": overhead_pct},
-    )
-
-    assert overhead_pct < 2.0, (
-        f"idle containment stack cost {overhead_pct:.2f}% of wall time "
-        "(budget: 2%)"
     )

@@ -14,50 +14,29 @@ acceptance bargain in ``BENCH_hedging.json``:
 * hedging cuts p99 batch makespan by >= 30%;
 * duplicate (wasted) kernel work stays <= 15% of the batch's kernels.
 
-A second test pins the other half of the bargain: with gray faults
-absent, enabling hedging changes *nothing* (identical records — the
-detector observes, the scanner scans, nobody acts) and the hedging path
-costs < 2% wall clock, measured with the same paired-minimum
-methodology as ``bench_integrity_overhead.py``.
+The other half of the bargain — with gray faults absent, the default
+hedging config changes nothing and costs < 2% wall clock — is the
+``hedging`` row of ``bench_overhead.py``.
 
 The workload is synthetic rather than a Rodinia port because the tiny
 test-scale Rodinia profiles are launch-overhead-dominated: a 4x compute
 slowdown moves their makespan by a few percent, which would say nothing
-about hedging.  The dense app is one device-filling 50us kernel per
-phase, 40 phases, so compute dominates and every phase boundary is a
-checkpoint the replica can fork from.
+about hedging.  The dense app (``conftest.dense_app``) is compute-bound
+and every phase boundary is a checkpoint the replica can fork from.
 """
 
-import gc
-import time
 from pathlib import Path
 
 import pytest
-from conftest import once
+from conftest import DENSE_KERNELS as KERNELS
+from conftest import dense_app, once
 
 from repro.analysis.tables import format_table, write_csv
 from repro.fleet import FleetConfig, FleetHarness, HedgeConfig
-from repro.framework.kernel import (
-    AppProfile,
-    Buffer,
-    KernelApp,
-    KernelPhase,
-    TransferPhase,
-)
-from repro.gpu.commands import CopyDirection
-from repro.gpu.kernels import Dim3, KernelDescriptor
 from repro.resilience.faults import FaultKind, FaultPlan
 from repro.telemetry.trajectory import record_trajectory_point
 
 DEVICES = 8
-KERNELS = 40
-#: Full-occupancy launches: 8 resident 256-thread blocks per SMX on the
-#: 13-SMX K20 (the threads-per-SMX limit), times two scheduling waves.
-#: A 13-block one-wave grid would be the degenerate minimum of compute
-#: per launch and overstate the relative cost of the observation hook.
-WAVES = 2
-GRID_BLOCKS = 13 * 8 * WAVES
-BLOCK_DURATION = 50e-6
 SLOWDOWN = 4.0
 BATCHES = 12
 
@@ -68,51 +47,8 @@ FAST_HEALTH = dict(
 )
 #: Sweep config: scan fast enough to hedge inside a ~10 ms batch.
 HEDGE = HedgeConfig(check_interval=0.2e-3)
-#: Overhead config: the defaults a production fleet would run.
-HEDGE_DEFAULT = HedgeConfig()
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_hedging.json"
-
-#: Paired-minimum overhead loop (see bench_integrity_overhead.py).
-TIME_BUDGET_S = 20.0
-MIN_REPEATS = 4
-
-
-def _dense_app(instance):
-    """One device-filling compute-dense app, checkpointed per kernel."""
-    buf = Buffer("data", 1 << 20)
-    kernel = KernelDescriptor(
-        name="dense",
-        grid=Dim3(GRID_BLOCKS),
-        block=Dim3(256),
-        block_duration=BLOCK_DURATION,
-    )
-    phases = [TransferPhase(CopyDirection.HTOD, (buf,))]
-    phases += [KernelPhase((kernel,)) for _ in range(KERNELS)]
-    phases.append(TransferPhase(CopyDirection.DTOH, (buf,)))
-    profile = AppProfile(
-        name="dense",
-        data_dim=f"{KERNELS}x{BLOCK_DURATION * 1e6:.0f}us",
-        host_allocs=(buf,),
-        device_allocs=(buf,),
-        phases=tuple(phases),
-    )
-    return KernelApp(profile, instance=instance)
-
-
-def _apps():
-    return [_dense_app(i) for i in range(DEVICES)]
-
-
-def _fleet(hedging, seed=0, fast_health=True):
-    # FAST_HEALTH shrinks *loss-detection* timings so fail-stop faults
-    # resolve inside tiny runs; straggler detection and hedge latency are
-    # governed by the hedge scan interval instead, so the fault-free
-    # overhead measurement runs at the default health cadence.
-    health = FAST_HEALTH if fast_health else {}
-    return FleetConfig(
-        num_devices=DEVICES, seed=seed, hedging=hedging, **health
-    )
 
 
 def _gray_plan(batch):
@@ -126,10 +62,15 @@ def _gray_plan(batch):
     )
 
 
-def _run(hedging, plan, seed=0, fast_health=True):
-    return FleetHarness(
-        _apps(), _fleet(hedging, seed, fast_health), plan=plan
-    ).run()
+def _run(hedging, plan, seed):
+    # FAST_HEALTH shrinks *loss-detection* timings so fail-stop faults
+    # resolve inside tiny runs; straggler detection and hedge latency are
+    # governed by the hedge scan interval instead.
+    config = FleetConfig(
+        num_devices=DEVICES, seed=seed, hedging=hedging, **FAST_HEALTH
+    )
+    apps = [dense_app(i) for i in range(DEVICES)]
+    return FleetHarness(apps, config, plan=plan).run()
 
 
 def _p99(values):
@@ -213,79 +154,4 @@ def test_hedging_cuts_p99_gray_makespan(benchmark, results_dir):
     assert worst_dup_pct <= 15.0, (
         f"duplicate work reached {worst_dup_pct:.1f}% of batch kernels "
         "(budget: 15%)"
-    )
-
-
-def _record_key(result):
-    return [
-        (r.app_id, r.spawn_time, r.gpu_start, r.complete_time, r.outcome)
-        for r in result.records
-    ]
-
-
-def _paired_minima(budget_s):
-    """(best off s, best on s, off key, on key, repeats).
-
-    Alternating off/on pairs, per-side minimum over a time-budgeted
-    repeat loop — the same floor estimator bench_integrity_overhead.py
-    uses, for the same reason: the effect under measurement is smaller
-    than slot-to-slot wall-clock drift.
-    """
-    best = {False: float("inf"), True: float("inf")}
-    keys = {}
-    deadline = time.perf_counter() + budget_s
-    rep = 0
-    while rep < MIN_REPEATS or time.perf_counter() < deadline:
-        order = (False, True) if rep % 2 == 0 else (True, False)
-        for hedging_on in order:
-            gc.collect()
-            t0 = time.perf_counter()
-            result = _run(
-                HEDGE_DEFAULT if hedging_on else None,
-                plan=None,
-                fast_health=False,
-            )
-            best[hedging_on] = min(best[hedging_on], time.perf_counter() - t0)
-            keys[hedging_on] = _record_key(result)
-            assert result.hedges_launched == 0
-        rep += 1
-    return best[False], best[True], keys[False], keys[True], rep
-
-
-@pytest.mark.fleet
-def test_hedging_idle_is_free(benchmark, results_dir):
-    # Warm both code paths before timing.
-    _run(None, plan=None, fast_health=False)
-    _run(HEDGE_DEFAULT, plan=None, fast_health=False)
-    off_s, on_s, off_key, on_key, reps = once(
-        benchmark, _paired_minima, TIME_BUDGET_S
-    )
-
-    # With no gray fault the detector never classifies and the scanner
-    # never acts: simulated results are identical, not merely close.
-    assert on_key == off_key
-
-    overhead_pct = (on_s - off_s) / off_s * 100.0
-    rows = [
-        {
-            "config": f"{DEVICES}dev x {KERNELS}k dense, no faults",
-            "repeats": reps,
-            "hedging_off_s": off_s,
-            "hedging_on_s": on_s,
-            "overhead_pct": overhead_pct,
-            "results_identical": True,
-        }
-    ]
-    print()
-    print(format_table(rows, title="Hedging — idle-path overhead"))
-    write_csv(rows, results_dir / "hedging_overhead.csv")
-    record_trajectory_point(
-        TRAJECTORY_PATH,
-        "bench_hedging",
-        {"idle_overhead_pct": overhead_pct},
-    )
-
-    assert overhead_pct < 2.0, (
-        f"idle hedging path cost {overhead_pct:.2f}% of wall time "
-        "(budget: 2%)"
     )

@@ -230,13 +230,20 @@ def test_mega_stream_bounded_memory(benchmark, results_dir):
     served = sum(mega["outcomes"].values())
     assert served == MEGA_REQUESTS, mega["outcomes"]
     ratio = mega["rss_kb"] / base["rss_kb"]
-    throughput = mega["requests"] / mega["wall_s"]
+    completed = mega["outcomes"].get("completed", 0)
+    # Arrivals/s counts front-door refusals too (~98% of this stream);
+    # completed/s is the throughput that did work.
+    arrivals_per_s = mega["requests"] / mega["wall_s"]
+    completed_per_s = completed / mega["wall_s"]
     rows = [
         {
             "requests": run["requests"],
             "peak_rss_mb": run["rss_kb"] / 1024.0,
             "wall_s": run["wall_s"],
-            "throughput_req_s": run["requests"] / run["wall_s"],
+            "completed_per_s": (
+                run["outcomes"].get("completed", 0) / run["wall_s"]
+            ),
+            "arrivals_per_s": run["requests"] / run["wall_s"],
             "completed": run["outcomes"].get("completed", 0),
             "shed": sum(
                 count
@@ -249,7 +256,8 @@ def test_mega_stream_bounded_memory(benchmark, results_dir):
     checkpoint_rows(rows, "workload_mega_stream.csv")
     print(
         f"\nmega-stream: {MEGA_REQUESTS:,} requests in {mega['wall_s']:.0f}s "
-        f"({throughput:,.0f} req/s), peak RSS {mega['rss_kb'] / 1024:.0f} MB "
+        f"({completed_per_s:,.0f} completed/s of {arrivals_per_s:,.0f} "
+        f"arrivals/s), peak RSS {mega['rss_kb'] / 1024:.0f} MB "
         f"vs {base['rss_kb'] / 1024:.0f} MB at {MEGA_BASE_REQUESTS:,} "
         f"(x{ratio:.2f})"
     )
@@ -269,7 +277,8 @@ def test_mega_stream_bounded_memory(benchmark, results_dir):
             "requests": MEGA_REQUESTS,
             "peak_rss_mb": mega["rss_kb"] / 1024.0,
             "rss_ratio_vs_8x_fewer": ratio,
-            "throughput_req_s": throughput,
-            "completed": mega["outcomes"].get("completed", 0),
+            "completed_per_s": completed_per_s,
+            "arrivals_per_s": arrivals_per_s,
+            "completed": completed,
         },
     )

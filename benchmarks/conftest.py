@@ -24,8 +24,49 @@ os.environ.setdefault("REPRO_SCALE", "paper")
 
 from repro.core.runner import ExperimentRunner  # noqa: E402
 from repro.core.workload import resolve_scale  # noqa: E402
+from repro.framework.kernel import (  # noqa: E402
+    AppProfile,
+    Buffer,
+    KernelApp,
+    KernelPhase,
+    TransferPhase,
+)
+from repro.gpu.commands import CopyDirection  # noqa: E402
+from repro.gpu.kernels import Dim3, KernelDescriptor  # noqa: E402
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+#: The fleet benches' synthetic app: one device-filling 50us kernel per
+#: phase, 40 phases, so compute dominates and every phase boundary is a
+#: checkpoint.  Full-occupancy launches: 8 resident 256-thread blocks per
+#: SMX on the 13-SMX K20 (the threads-per-SMX limit), times two
+#: scheduling waves — a one-wave grid would be the degenerate minimum of
+#: compute per launch and overstate the relative cost of per-launch hooks.
+DENSE_KERNELS = 40
+DENSE_GRID_BLOCKS = 13 * 8 * 2
+DENSE_BLOCK_DURATION = 50e-6
+
+
+def dense_app(instance: int) -> KernelApp:
+    """One device-filling compute-dense app, checkpointed per kernel."""
+    buf = Buffer("data", 1 << 20)
+    kernel = KernelDescriptor(
+        name="dense",
+        grid=Dim3(DENSE_GRID_BLOCKS),
+        block=Dim3(256),
+        block_duration=DENSE_BLOCK_DURATION,
+    )
+    phases = [TransferPhase(CopyDirection.HTOD, (buf,))]
+    phases += [KernelPhase((kernel,)) for _ in range(DENSE_KERNELS)]
+    phases.append(TransferPhase(CopyDirection.DTOH, (buf,)))
+    profile = AppProfile(
+        name="dense",
+        data_dim=f"{DENSE_KERNELS}x{DENSE_BLOCK_DURATION * 1e6:.0f}us",
+        host_allocs=(buf,),
+        device_allocs=(buf,),
+        phases=tuple(phases),
+    )
+    return KernelApp(profile, instance=instance)
 
 
 @pytest.fixture(scope="session")

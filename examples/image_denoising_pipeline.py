@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.apps.srad import make_image, srad
 from repro.core import ExperimentRunner, Workload
-from repro.framework.scheduler import all_orders
+from repro.scheduling.orders import all_orders
 
 
 def roughness(img: np.ndarray) -> float:

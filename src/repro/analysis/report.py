@@ -167,12 +167,13 @@ SECTIONS: List[Section] = [
         ),
     ),
     Section(
-        title="Resilience — fault-injection overhead",
-        csv_name="resilience_overhead.csv",
+        title="Off-path overhead — opt-in layers armed but idle",
+        csv_name="overhead.csv",
         paper_claim=(
-            "(Not a paper figure.) With the resilience hooks enabled but no "
-            "faults planned, the Figure 4 sweep's results are identical and "
-            "the wall-clock overhead stays under 2%."
+            "(Not a paper figure.) With resilience, telemetry, integrity "
+            "probes, tracing, hedging or cascade containment armed but with "
+            "nothing to do, results are identical to the clean run and the "
+            "median paired wall-clock overhead stays under 2%."
         ),
     ),
     Section(

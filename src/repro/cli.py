@@ -643,7 +643,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "autotune":
         from .core.autotune import OrderSearch
         from .core.workload import Workload
-        from .framework.scheduler import schedule_signature
+        from .scheduling.orders import schedule_signature
 
         workload = Workload.heterogeneous_pair(*args.pair, args.apps, scale=scale)
         search = OrderSearch(
@@ -759,7 +759,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             TopologyConfig,
         )
         from .fleet.topology import FleetTopology
-        from .framework.scheduler import SchedulingOrder
+        from .scheduling.orders import SchedulingOrder
         from .resilience.faults import FaultKind, FaultPlan, FaultSpec
         from .sim.errors import HarnessCrash
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ..framework.kernel import AppProfile, Buffer, Phase, TransferPhase
-from ..framework.scheduler import SchedulingOrder, make_schedule
+from ..scheduling.orders import SchedulingOrder, make_schedule
 from ..gpu.block_scheduler import GridState
 from ..gpu.specs import DeviceSpec
 

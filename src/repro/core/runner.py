@@ -18,7 +18,7 @@ import numpy as np
 
 from ..framework.harness import HarnessConfig, HarnessResult, TestHarness
 from ..framework.metrics import improvement_pct
-from ..framework.scheduler import SchedulingOrder
+from ..scheduling.orders import SchedulingOrder
 from ..gpu.specs import DeviceSpec
 from ..resilience import ResilienceConfig
 from .workload import Workload
@@ -255,7 +255,7 @@ class ExperimentRunner:
         **kwargs,
     ) -> Dict[SchedulingOrder, RunResult]:
         """Run every launch order on one workload (Figures 7/8 cells)."""
-        from ..framework.scheduler import all_orders
+        from ..scheduling.orders import all_orders
 
         results = {}
         for order in orders or all_orders():

@@ -590,11 +590,9 @@ class FleetHarness:
             app_id = thread.app.app_id
             trace_ctx = getattr(thread, "trace_ctx", None)
             traced = tracer is not None and trace_ctx is not None
-            backoff_rng = (
-                app_rng(self.seed, app_id)
-                if fleet.retry_backoff is not None
-                else None
-            )
+            # Seeded at the first backoff, not here: most apps never
+            # retry, and a generator costs tens of microseconds to build.
+            backoff_rng = None
             fault_failures = 0
             attempts = 0
             pending_reexec: Optional[int] = None
@@ -697,7 +695,9 @@ class FleetHarness:
                     thread.reset_attempt()
                     if not fleet.checkpoint:
                         thread.restart_from_scratch()
-                    if backoff_rng is not None:
+                    if fleet.retry_backoff is not None:
+                        if backoff_rng is None:
+                            backoff_rng = app_rng(self.seed, app_id)
                         delay = fleet.retry_backoff.delay(
                             fault_failures, backoff_rng
                         )

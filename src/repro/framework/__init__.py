@@ -13,7 +13,8 @@ the same architecture over the simulated device:
   dynamic assignment.
 * :class:`~repro.framework.sync.TransferSynchronizer` — the Section III-B
   HtoD transfer mutex ("pseudo-burst" transfers).
-* :mod:`~repro.framework.scheduler` — the five launch orders of Figure 3.
+* :mod:`~repro.scheduling.orders` — the five launch orders of Figure 3
+  (re-exported here).
 * :class:`~repro.framework.power_monitor.PowerMonitor` — NVML-style power
   sampling.
 * :class:`~repro.framework.harness.TestHarness` — runs one configured
@@ -43,7 +44,7 @@ from .metrics import (
     makespan,
 )
 from .power_monitor import DEFAULT_INTERVAL, PowerMonitor, PowerSample
-from .scheduler import SchedulingOrder, all_orders, make_schedule, schedule_signature
+from ..scheduling.orders import SchedulingOrder, all_orders, make_schedule, schedule_signature
 from .stream import Stream
 from .stream_manager import ASSIGNMENT_POLICIES, StreamManager
 from .sync import NullSynchronizer, TransferSynchronizer, make_synchronizer

@@ -83,7 +83,8 @@ class HarnessConfig:
         standard sim/GPU/resilience probes and drives the sampler's
         lifecycle alongside the power monitor.  ``None`` (default) keeps
         every layer on the uninstrumented code paths — byte-identical
-        results, pinned by ``bench_telemetry_overhead.py``.
+        results; the ``telemetry`` row of ``bench_overhead.py`` pins
+        that an armed one changes nothing either.
     """
 
     apps: Sequence[KernelApp]
@@ -108,13 +109,13 @@ class HarnessConfig:
     order_label: str = ""
     #: Optional repro.telemetry.Tracing (untyped, same convention as
     #: telemetry): one causal trace per app with engine-level wait spans.
-    #: ``None`` keeps every layer untraced — byte-identical results,
-    #: pinned by ``bench_tracing_overhead.py``.
+    #: ``None`` keeps every layer untraced; an armed one leaves results
+    #: identical too (the ``tracing`` row of ``bench_overhead.py``).
     tracing: object = None
     #: Runtime invariant checking (see :mod:`repro.integrity.invariants`):
-    #: ``None``/``False`` = off (byte-identical results, pinned by
-    #: ``bench_integrity_overhead.py``); ``True`` = strided probes with
-    #: defaults; or a preconfigured ``InvariantChecker`` instance.
+    #: ``None``/``False`` = off; ``True`` = strided probes with defaults
+    #: (identical results, pinned by the ``integrity`` row of
+    #: ``bench_overhead.py``); or a preconfigured ``InvariantChecker``.
     integrity: object = None
 
     def __post_init__(self) -> None:

@@ -4,8 +4,9 @@ Every persisted line of every journal is wrapped in one envelope::
 
     I1 <seq:8 hex> <crc:8 hex> <payload JSON>\\n
 
-* ``I1`` — format marker and envelope version.  Legacy (pre-envelope)
-  journals start with ``{``, so one byte distinguishes the formats.
+* ``I1`` — format marker and envelope version.  A file that does not
+  start with it (including a pre-envelope plain-JSONL journal, whose
+  first byte is ``{``) is refused, never misparsed.
 * ``seq`` — the record's position in the file (header = 0), so a line
   spliced in from another file (or a dropped line) is detected even when
   its checksum is self-consistent.
@@ -42,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -87,7 +88,7 @@ class RecordCorruption(JournalIntegrityError):
 
 
 class UnknownJournalFormat(JournalIntegrityError):
-    """The file is neither an envelope journal nor a known legacy format."""
+    """The file is not an envelope journal."""
 
 
 def _crc(seq: int, payload: str) -> int:
@@ -139,18 +140,15 @@ def decode_line(raw: bytes, expected_seq: Optional[int] = None) -> Dict:
 
 
 def sniff_format(first_bytes: bytes) -> str:
-    """``"envelope"`` / ``"legacy"`` / ``"unknown"`` from the first line.
+    """``"envelope"`` or ``"unknown"`` from the first line.
 
-    Legacy (pre-envelope) journals were plain JSONL: their first byte is
-    ``{``.  Envelope journals start with the ``I1 `` marker.  Anything
-    else is unknown and must be rejected with an actionable error rather
-    than misparsed.
+    Envelope journals start with the ``I1 `` marker.  Anything else —
+    plain JSONL included — is unknown and must be rejected with an
+    actionable error rather than misparsed.
     """
     head = first_bytes.lstrip()[:8]
     if head.startswith(f"{ENVELOPE_PREFIX} ".encode()):
         return "envelope"
-    if head.startswith(b"{"):
-        return "legacy"
     return "unknown"
 
 
@@ -164,7 +162,7 @@ class RecoveryReport:
     """
 
     path: str
-    format: str                       # "envelope" | "legacy"
+    format: str                       # always "envelope"
     version: int
     total_lines: int = 0
     valid_records: int = 0
@@ -256,56 +254,11 @@ def _scan_envelope(
     return header, entries, report, prefix_bytes
 
 
-def _scan_legacy(
-    path: Path, data: bytes
-) -> Tuple[Optional[Dict], List[Dict], RecoveryReport, int]:
-    """Compat scan of a pre-envelope JSONL journal.
-
-    Legacy lines carry no checksum, so only the *final* line can be
-    classified as torn; an unparsable line mid-file is unrecoverable
-    corruption (reported, nothing truncated — the caller decides).
-    """
-    lines = _split_lines(data)
-    report = RecoveryReport(
-        path=str(path), format="legacy", version=1, total_lines=len(lines),
-    )
-    header: Optional[Dict] = None
-    entries: List[Dict] = []
-    prefix_bytes = 0
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            text = raw.decode("utf-8")
-            payload = json.loads(text) if text.strip() else None
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            report.first_invalid_line = lineno
-            report.torn_tail = lineno == len(lines)
-            report.mid_file_corruption = not report.torn_tail
-            report.corruption_reason = (
-                "torn final line" if report.torn_tail
-                else "unparsable line in an unchecksummed legacy journal"
-            )
-            break
-        if lineno == 1:
-            header = payload if isinstance(payload, dict) else None
-            if header is None:
-                report.first_invalid_line = 1
-                report.corruption_reason = "corrupt header line"
-                break
-        elif payload is not None:
-            entries.append(payload)
-        prefix_bytes += len(raw) + 1
-    prefix_bytes = min(prefix_bytes, len(data))
-    report.valid_records = len(entries)
-    report.quarantined_bytes = len(data) - prefix_bytes
-    report.clock_regressions = clock_regressions(entries)
-    return header, entries, report, prefix_bytes
-
-
 def scan_file(path) -> Tuple[Optional[Dict], List[Dict], RecoveryReport, int]:
     """Read-only scan: (header payload, entries, report, valid prefix bytes).
 
-    Raises :class:`UnknownJournalFormat` when the file is neither an
-    envelope journal nor legacy JSONL, and ``FileNotFoundError`` when it
+    Raises :class:`UnknownJournalFormat` when the file is not an
+    envelope journal, and ``FileNotFoundError`` when it
     does not exist.  Never raises on corruption — corruption is *data*,
     reported in the :class:`RecoveryReport`.
     """
@@ -313,14 +266,12 @@ def scan_file(path) -> Tuple[Optional[Dict], List[Dict], RecoveryReport, int]:
     data = path.read_bytes()
     if not data:
         raise UnknownJournalFormat(f"{path} is empty")
-    kind = sniff_format(data)
-    if kind == "envelope":
+    if sniff_format(data) == "envelope":
         return _scan_envelope(path, data)
-    if kind == "legacy":
-        return _scan_legacy(path, data)
     raise UnknownJournalFormat(
-        f"{path} is neither an envelope (I1 ...) nor a legacy JSONL "
-        "journal; refusing to guess at its contents"
+        f"{path} is not an envelope (I1 ...) journal; refusing to guess "
+        "at its contents (plain-JSONL journals are not read: re-run "
+        "without --resume to start a fresh journal)"
     )
 
 

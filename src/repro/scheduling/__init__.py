@@ -14,8 +14,7 @@ harness.  Per admitted batch, a :class:`BatchScheduler` selects
 
 Layout:
 
-* :mod:`~repro.scheduling.orders` — the five Figure 3 static orders
-  (canonical home; re-exported by ``repro.framework.scheduler``).
+* :mod:`~repro.scheduling.orders` — the five Figure 3 static orders.
 * :mod:`~repro.scheduling.characterize` — transfer-heavy vs compute-heavy
   classification from declared Table III geometry blended with observed
   per-record telemetry.

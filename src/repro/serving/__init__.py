@@ -40,7 +40,6 @@ from .fleet_gate import FleetCapacityGate
 from .journal import (
     JOURNAL_FORMAT,
     JOURNAL_VERSION,
-    LEGACY_JOURNAL_VERSION,
     JournalError,
     JournalMismatchError,
     RunJournal,
@@ -65,7 +64,6 @@ __all__ = [
     "FleetServingConfig",
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
-    "LEGACY_JOURNAL_VERSION",
     "JournalError",
     "JournalMismatchError",
     "QUEUE_POLICIES",

@@ -28,10 +28,8 @@ caught as a :class:`JournalMismatchError` rather than silently corrupting
 the log.  The fingerprint check makes "resumed against the wrong run"
 a first-class error, not a garbage result.
 
-Pre-envelope (version 1) journals — plain JSONL — are detected by format
-sniffing and read through a compat path; resuming one rewrites it in
-envelope form.  Unknown formats are rejected with an actionable error,
-never misparsed.
+Anything that is not an envelope journal — pre-envelope plain JSONL
+included — is rejected with an actionable error, never misparsed.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from ..integrity.record import (
 __all__ = [
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
-    "LEGACY_JOURNAL_VERSION",
     "JournalError",
     "JournalMismatchError",
     "RunJournal",
@@ -64,8 +61,6 @@ __all__ = [
 JOURNAL_FORMAT = "repro-serving-journal"
 #: Current on-disk version: checksummed envelope records.
 JOURNAL_VERSION = 2
-#: Pre-envelope plain-JSONL journals, still readable via the compat path.
-LEGACY_JOURNAL_VERSION = 1
 
 
 class JournalError(Exception):
@@ -132,9 +127,8 @@ class RunJournal:
                 )
             self._pending = deque(entries)
             self.recovered = len(entries)
-            # Rewrite header + surviving entries in envelope form so torn
-            # bytes, markers and any legacy formatting are gone before we
-            # start appending again.
+            # Rewrite header + surviving entries so torn bytes and markers
+            # are gone before we start appending again.
             header = {
                 "format": JOURNAL_FORMAT,
                 "version": JOURNAL_VERSION,
@@ -185,29 +179,17 @@ class RunJournal:
                 f"{self.path} is not a {JOURNAL_FORMAT} file: {exc}"
             ) from None
         self.recovery = report
-        if report.format == "legacy" and report.mid_file_corruption:
-            # Legacy lines carry no checksum, so a bad line mid-file
-            # cannot be blamed on a crash: refuse rather than guess which
-            # suffix to trust.
-            raise JournalError(
-                f"journal {self.path} is corrupt at line "
-                f"{report.first_invalid_line} (legacy format: only the "
-                "final line may be torn); re-run without --resume or "
-                "restore the file from backup"
-            )
         if header is None:
             raise JournalError(
                 f"journal {self.path} has a corrupt header line"
             )
         if header.get("format") != JOURNAL_FORMAT:
             raise JournalError(f"{self.path} is not a {JOURNAL_FORMAT} file")
-        if header.get("version") not in (
-            JOURNAL_VERSION, LEGACY_JOURNAL_VERSION
-        ):
+        if header.get("version") != JOURNAL_VERSION:
             raise JournalError(
                 f"journal {self.path} has unsupported version "
-                f"{header.get('version')!r} (this build reads versions "
-                f"{LEGACY_JOURNAL_VERSION} and {JOURNAL_VERSION})"
+                f"{header.get('version')!r} (this build reads version "
+                f"{JOURNAL_VERSION})"
             )
         if repair and report.quarantined_bytes:
             data = self.path.read_bytes()

@@ -46,15 +46,15 @@ class Environment:
         # every ordinary run; the step loop only pays one attribute check.
         self._fault_injector: Optional[Any] = None
         # Optional strided integrity probe (see repro.integrity.invariants).
-        # Unset in every ordinary run; the step loop pays one integer
-        # truthiness check and nothing else.  The strided dispatch lives
-        # *inline* here rather than in a per-event callback because a
-        # Python call per event pop costs percents of wall time on
-        # event-dense workloads; an integer countdown costs a fraction
+        # The step loop compares the pop count with ``_probe_at`` (-1,
+        # never reached, while unset) and does nothing else.  The strided
+        # dispatch lives *inline* here rather than in a per-event callback
+        # because a Python call per event pop costs percents of wall time
+        # on event-dense workloads; one integer compare costs a fraction
         # of that.
         self._probe: Optional[Any] = None
         self._probe_stride: int = 0
-        self._probe_countdown: int = 0
+        self._probe_at: int = -1
         # Optional causal tracer (see repro.telemetry.tracing).  Purely
         # passive: the step loop never consults it — instrumented layers
         # reach it through :attr:`tracer` with one attribute check, so an
@@ -129,13 +129,13 @@ class Environment:
             raise RuntimeError("a probe is already installed on this environment")
         self._probe = probe
         self._probe_stride = stride
-        self._probe_countdown = stride
+        self._probe_at = self._events_processed + stride
 
     def clear_probe(self) -> None:
         """Detach the strided probe (no-op if none installed)."""
         self._probe = None
         self._probe_stride = 0
-        self._probe_countdown = 0
+        self._probe_at = -1
 
     @property
     def tracer(self) -> Optional[Any]:
@@ -201,15 +201,13 @@ class Environment:
             self._now, _, _, event = heapq.heappop(self._queue)
         except IndexError:
             raise EventError("no scheduled events left") from None
-        self._events_processed += 1
+        self._events_processed = popped = self._events_processed + 1
 
         if self._fault_injector is not None:
             self._fault_injector.on_step(self._now)
-        if self._probe_countdown:
-            self._probe_countdown -= 1
-            if not self._probe_countdown:
-                self._probe_countdown = self._probe_stride
-                self._probe(self._now)
+        if popped == self._probe_at:
+            self._probe_at = popped + self._probe_stride
+            self._probe(self._now)
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:

@@ -3,9 +3,9 @@
 The repo's benchmarks pin regressions run-to-run, but until now nothing
 recorded the *trajectory* — how a benchmark's numbers move across commits.
 ``record_trajectory_point`` appends one dated point per invocation to a
-JSON file at the repo root (``BENCH_telemetry.json`` first, one file per
-benchmark family), so CI artifacts accumulate a history that can be
-plotted or diffed.
+JSON file at the repo root (``BENCH_overhead.json``, ``BENCH_cascade.json``
+and so on — one file per benchmark family), so CI artifacts accumulate a
+history that can be plotted or diffed.
 
 The file is a JSON object ``{"benchmark": ..., "points": [...]}``; each
 point carries the commit (when available from ``GITHUB_SHA`` or a plain

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.baselines import chunk_profile, symbiosis_admission, wende_schedule
 from repro.framework.kernel import TransferPhase
-from repro.framework.scheduler import SchedulingOrder, make_schedule
+from repro.scheduling.orders import SchedulingOrder, make_schedule
 from repro.gpu.block_scheduler import GridState
 from repro.gpu.commands import KernelLaunchCommand
 from repro.gpu.kernels import Dim3, KernelDescriptor

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.runner import ExperimentRunner, RunConfig, RunResult, quick_run
 from repro.core.workload import Workload
-from repro.framework.scheduler import SchedulingOrder
+from repro.scheduling.orders import SchedulingOrder
 
 
 @pytest.fixture

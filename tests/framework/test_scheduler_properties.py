@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.framework.scheduler import (
+from repro.scheduling.orders import (
     SchedulingOrder,
     all_orders,
     make_schedule,

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.runner import ExperimentRunner, RunConfig
 from repro.core.workload import Workload
-from repro.framework.scheduler import SchedulingOrder, all_orders
+from repro.scheduling.orders import SchedulingOrder, all_orders
 from repro.gpu.commands import CopyDirection
 
 

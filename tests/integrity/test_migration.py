@@ -1,11 +1,12 @@
-"""Pre-envelope journal migration: compat-read, upgrade, or reject.
+"""Journal format rejection: only envelope journals are read.
 
-Journals written before the integrity envelope shipped are plain JSONL
-(version 1).  The contract: version sniffing recognizes them, resume
-reads them through the compat path and rewrites them in envelope form,
-legacy-specific corruption limits are enforced (no checksums -> only the
-final line may be torn), and files that are neither format are rejected
-with an actionable error — never misparsed into garbage entries.
+Journals written before the integrity envelope shipped were plain JSONL
+(version 1).  Nothing writes that format any more, so it is refused like
+any other non-envelope file: ``scan_file`` raises
+``UnknownJournalFormat``, resume raises an actionable ``JournalError``
+and ``repro verify`` exits 1 — never misparsed into garbage entries.
+Envelope files whose header names another format or version are
+rejected too.
 """
 
 import json
@@ -13,12 +14,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.streaming import ConcurrencyCapDispatcher, poisson_arrivals
-from repro.integrity import decode_line, sniff_format
+from repro.integrity import (
+    UnknownJournalFormat,
+    decode_line,
+    encode_line,
+    scan_file,
+)
 from repro.serving import (
     JOURNAL_FORMAT,
     JournalError,
-    LEGACY_JOURNAL_VERSION,
     ServingConfig,
     run_serving,
 )
@@ -63,67 +69,34 @@ def envelope_reference(tmp_path_factory):
     return data, header, entries
 
 
-def _legacy_bytes(header, entries, version=LEGACY_JOURNAL_VERSION) -> bytes:
-    """The same run as a pre-envelope (version 1) journal would be."""
-    legacy_header = dict(header, version=version)
-    lines = [json.dumps(legacy_header, sort_keys=True)]
-    lines += [json.dumps(e, sort_keys=True) for e in entries]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-class TestLegacyCompat:
-    def test_legacy_is_sniffed_as_legacy(self, envelope_reference):
-        _, header, entries = envelope_reference
-        assert sniff_format(_legacy_bytes(header, entries)) == "legacy"
-
-    def test_resume_upgrades_to_envelope(
-        self, envelope_reference, tmp_path
-    ):
-        data, header, entries = envelope_reference
-        path = tmp_path / "legacy.jsonl"
-        path.write_bytes(_legacy_bytes(header, entries))
-        result = _run(path, resume=True)
-        assert result.resumed
-        assert result.recovered_entries == len(entries)
-        # The file is now envelope v2 — byte-identical to what an
-        # uninterrupted post-upgrade run writes.
-        assert path.read_bytes() == data
-
-    def test_resume_replays_partial_legacy_journal(
-        self, envelope_reference, tmp_path
-    ):
-        data, header, entries = envelope_reference
-        assert len(entries) >= 3
-        path = tmp_path / "legacy-partial.jsonl"
-        path.write_bytes(_legacy_bytes(header, entries[:2]))
-        result = _run(path, resume=True)
-        assert result.recovered_entries == 2
-        assert path.read_bytes() == data
-
-    def test_legacy_torn_tail_recovers(self, envelope_reference, tmp_path):
-        _, header, entries = envelope_reference
-        legacy = _legacy_bytes(header, entries)
-        path = tmp_path / "legacy-torn.jsonl"
-        path.write_bytes(legacy[:-9])  # cut inside the final line
-        result = _run(path, resume=True)
-        assert result.recovered_entries == len(entries) - 1
-
-    def test_legacy_mid_file_corruption_is_refused(
-        self, envelope_reference, tmp_path
-    ):
-        # Legacy lines carry no checksums: a bad line mid-file cannot be
-        # blamed on a crash, so the journal must refuse rather than guess
-        # which suffix to trust.
-        _, header, entries = envelope_reference
-        lines = _legacy_bytes(header, entries).decode().splitlines()
-        lines[2] = lines[2][: len(lines[2]) // 2]
-        path = tmp_path / "legacy-corrupt.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(JournalError, match="final line may be torn"):
-            _run(path, resume=True)
+def _envelope_bytes(header, entries) -> bytes:
+    """A valid envelope journal with the given header payload."""
+    lines = [encode_line(header, 0)]
+    lines += [encode_line(e, seq) for seq, e in enumerate(entries, start=1)]
+    return "".join(lines).encode("utf-8")
 
 
 class TestRejection:
+    def test_plain_jsonl_refused_everywhere(
+        self, envelope_reference, tmp_path, capsys
+    ):
+        # The pre-envelope (version 1) layout: one JSON object per line.
+        _, header, entries = envelope_reference
+        lines = [json.dumps(dict(header, version=1), sort_keys=True)]
+        lines += [json.dumps(e, sort_keys=True) for e in entries]
+        path = tmp_path / "plain.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        before = path.read_bytes()
+        with pytest.raises(UnknownJournalFormat, match="refusing to guess"):
+            scan_file(path)
+        with pytest.raises(JournalError, match="without --resume"):
+            _run(path, resume=True)
+        assert main(["verify", str(path)]) == 1
+        assert "not an envelope" in capsys.readouterr().out
+        # Refusal never rewrites or quarantines the file.
+        assert path.read_bytes() == before
+        assert not path.with_suffix(".jsonl.quarantine").exists()
+
     def test_unknown_format_rejected_with_actionable_error(self, tmp_path):
         path = tmp_path / "noise.jsonl"
         path.write_bytes(b"\x89PNG not a journal at all\n")
@@ -141,7 +114,8 @@ class TestRejection:
     ):
         _, header, entries = envelope_reference
         path = tmp_path / "future.jsonl"
-        path.write_bytes(_legacy_bytes(header, entries, version=99))
+        future = dict(header, version=99)
+        path.write_bytes(_envelope_bytes(future, entries))
         with pytest.raises(JournalError, match="unsupported version"):
             _run(path, resume=True)
 
@@ -151,7 +125,7 @@ class TestRejection:
         _, header, entries = envelope_reference
         alien = dict(header, format="someone-elses-journal")
         path = tmp_path / "alien.jsonl"
-        path.write_bytes(_legacy_bytes(alien, entries))
+        path.write_bytes(_envelope_bytes(alien, entries))
         with pytest.raises(JournalError, match=JOURNAL_FORMAT):
             _run(path, resume=True)
 

@@ -77,7 +77,8 @@ class TestSniff:
         assert sniff_format(b"I1 00000000 deadbeef {}") == "envelope"
 
     def test_legacy(self):
-        assert sniff_format(b'{"format": "x"}') == "legacy"
+        # Pre-envelope plain JSONL is refused like any other stranger.
+        assert sniff_format(b'{"format": "x"}') == "unknown"
 
     def test_unknown(self):
         assert sniff_format(b"\x00\x01binary") == "unknown"
