@@ -649,14 +649,7 @@ def run_streaming(
             )
             thread.trace_ctx = ctx
             trace_ctxs[arrival.index] = ctx
-        prepare_from = env.now
         yield from thread.prepare()
-        if tracer is not None and env.now > prepare_from:
-            tracer.record_leaf(
-                thread.trace_ctx, "host.prepare", "prepare",
-                prepare_from, env.now,
-            )
-        thread._trace_ready_at = env.now
         # With front-door shedding the bound was already enforced at the
         # source (over preparing + ready), so the ready-only check is off.
         if (
@@ -793,13 +786,11 @@ def run_streaming(
             state["settled"] += 1
             if hooks.retain_records:
                 queue_delays.append(env.now - arrival_time)
-            if tracer is not None and thread.trace_ctx is not None:
-                ready_at = getattr(thread, "_trace_ready_at", arrival_time)
-                if env.now > ready_at:
-                    tracer.record_leaf(
-                        thread.trace_ctx, "admission.queue",
-                        "admission-queue", ready_at, env.now,
-                    )
+            if tracer is not None and env.now > thread.ready_at:
+                tracer.record_leaf(
+                    thread.trace_ctx, "admission.queue",
+                    "admission-queue", thread.ready_at, env.now,
+                )
             stream = manager.acquire(thread.app.app_id)
             thread.assign_stream(stream)
             thread.record.stream_index = stream.index

@@ -552,13 +552,11 @@ class FleetHarness:
         def on_checkpoint(thread: FleetAppThread) -> None:
             app_id = thread.app.app_id
             note_progress(thread)
-            if tracer is not None:
-                ctx = getattr(thread, "trace_ctx", None)
-                if ctx is not None:
-                    tracer.instant(
-                        ctx, "checkpoint", "checkpoint", env.now,
-                        kernels=thread.checkpoint.completed_kernels,
-                    )
+            if tracer is not None and thread.trace_ctx is not None:
+                tracer.instant(
+                    thread.trace_ctx, "checkpoint", "checkpoint", env.now,
+                    kernels=thread.checkpoint.completed_kernels,
+                )
             # A migrant that reached a phase boundary on its new device
             # is warmed up: its recovery slot stops gating the queue.
             coordinator.note_warmed(app_id)
@@ -588,7 +586,7 @@ class FleetHarness:
 
         def drive(thread: FleetAppThread, record: AppRecord):
             app_id = thread.app.app_id
-            trace_ctx = getattr(thread, "trace_ctx", None)
+            trace_ctx = thread.trace_ctx
             traced = tracer is not None and trace_ctx is not None
             # Seeded at the first backoff, not here: most apps never
             # retry, and a generator costs tens of microseconds to build.
@@ -787,13 +785,7 @@ class FleetHarness:
                         type=record.type_name, index=launch_index,
                     )
                     trace_ctxs[launch_index] = thread.trace_ctx
-                prepare_from = env.now
                 yield from thread.prepare()
-                if tracer is not None and env.now > prepare_from:
-                    tracer.record_leaf(
-                        thread.trace_ctx, "host.prepare", "prepare",
-                        prepare_from, env.now,
-                    )
 
             registry.start()
             monitor.start()

@@ -501,12 +501,4 @@ class HedgeManager:
     def cleanup_replicas(self):
         """Free every replica's device memory (parent thread, end of run)."""
         for hedge in self.all_hedges:
-            rthread = hedge.thread
-            if (
-                rthread.bound_device is not None
-                and rthread.fdev is not None
-                and not rthread.fdev.lost
-            ):
-                yield from rthread.app.free_device_memory(rthread.ctx)
-            else:
-                rthread.ctx.device_allocations.clear()
+            yield from hedge.thread.release_device()

@@ -1,42 +1,30 @@
 """The fleet-aware application thread: checkpointed, migratable execution.
 
-:class:`FleetAppThread` plays the role :class:`~repro.framework.app_thread.
-AppThread` plays in the single-device harness, with three additions:
+:class:`FleetAppThread` is the framework :class:`~repro.framework.
+app_thread.AppThread` plus what a fleet adds through its hooks:
 
-* **completion tracking** — every enqueued command carries its in-phase
-  sequence number and a completion callback; because a device stream is
-  FIFO, callbacks extend a *contiguous completed prefix* in the app's
-  :class:`~repro.fleet.checkpoint.AppCheckpoint` at kernel granularity.
-  Completions arriving after the device was lost (phantom retirements of
-  an abandoned device) are ignored.
-* **phase-boundary snapshots** — after each phase the thread synchronizes
-  the stream, surfaces any command fault, harvests metrics and durably
-  snapshots the checkpoint (journaled by the harness when a journal is
-  attached).
-* **re-binding** — an attempt may start on a different device than the
-  previous one: device memory is re-allocated there and the checkpoint's
-  cumulative HtoD payload is re-uploaded in one burst before execution
-  resumes from the checkpointed phase/command indices.  Only commands
-  that *started* before the loss and never completed are re-executed —
-  stream FIFO order bounds that to at most one in-flight kernel per
-  migration.
+* **completion tracking** — each command gets a watcher that knows its
+  in-phase sequence number; FIFO streams make the watchers extend a
+  *contiguous completed prefix* in the app's :class:`~repro.fleet.
+  checkpoint.AppCheckpoint`.  Completions on a lost device are ignored.
+* **phase-boundary snapshots** — sync, fault check, harvest of the counted
+  prefix and a checkpoint snapshot after every phase.
+* **re-binding** — on a new device the attempt re-allocates, re-uploads
+  the checkpoint's cumulative HtoD payload in one burst and resumes from
+  the checkpointed indices: at most the one in-flight kernel re-executes.
+
+An attempt acquires its own stream, keeps the first attempt's
+``gpu_start``, and abandons a lost device's stream and memory.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from ..framework.app_thread import AppContext
-from ..framework.kernel import (
-    HostComputePhase,
-    KernelApp,
-    KernelPhase,
-    SyncPhase,
-    TransferPhase,
-)
-from ..framework.metrics import AppRecord, KernelEvent, TransferEvent
+from ..framework.app_thread import AppThread
+from ..framework.kernel import KernelApp
+from ..framework.metrics import AppRecord
 from ..gpu.commands import CopyDirection
-from ..sim.events import AllOf
 from .checkpoint import AppCheckpoint
 from .registry import FleetDevice
 
@@ -49,7 +37,7 @@ __all__ = ["FleetAppThread"]
 RESTORE_BUFFER = "checkpoint-restore"
 
 
-class FleetAppThread:
+class FleetAppThread(AppThread):
     """One application's host thread in a multi-device fleet."""
 
     def __init__(
@@ -60,70 +48,51 @@ class FleetAppThread:
         checkpoint: AppCheckpoint,
         on_checkpoint: Optional[Callable[["FleetAppThread"], None]] = None,
     ) -> None:
-        self.env = env
-        self.app = app
-        self.record = record
+        super().__init__(env, None, app, None, record)
         self.checkpoint = checkpoint
         self.on_checkpoint = on_checkpoint
         self.fdev: Optional[FleetDevice] = None
-        self.stream = None
-        #: Bind-time fencing token (set by the harness; see
-        #: :mod:`repro.integrity.fencing`).  Checkpoint writes present it
-        #: so post-failover stale writes are rejected, not interleaved.
+        #: Bind-time fencing token (see :mod:`repro.integrity.fencing`):
+        #: checkpoint writes present it so stale writes are rejected.
         self.fence_token = None
-        #: Device index the app's device allocations currently live on;
-        #: ``None`` forces (re-)allocation at the next attempt.
+        #: Device index holding the app's device allocations; ``None``
+        #: forces re-allocation and restore at the next attempt.
         self.bound_device: Optional[int] = None
-        #: Optional :class:`~repro.resilience.gray.StragglerDetector`
-        #: fed a latency-stretch observation per completed command (set
-        #: by the harness when gray-failure mitigation is enabled).
+        #: Optional :class:`~repro.resilience.gray.StragglerDetector` fed
+        #: a latency stretch per completed command.
         self.detector = None
-        # Bound per-device observers (see StragglerDetector.kernel_
-        # observer), created lazily per binding and dropped on re-bind.
-        self._kernel_observe = None
-        self._dma_observe = None
-        self.ctx = AppContext(
-            env=env,
-            device=None,
-            stream=None,
-            host_spec=None,
-            app_id=app.app_id,
-        )
-
-    # -- binding -----------------------------------------------------------
+        self._kernel_observe = self._dma_observe = None  # per binding
+        #: Prefix commands not yet harvested (only these become events).
+        self._counted = set()
+        self._next_seq = 0  # in-phase sequence number of the next command
+        self.ctx.watch_transfer = self._watch_copy
+        self.ctx.watch_kernel = self._watch_kernel
 
     def bind(self, fdev: FleetDevice) -> None:
         """Point the thread at a (possibly new) fleet device."""
         self.fdev = fdev
-        self.ctx.device = fdev.gpu
+        self.device = self.ctx.device = fdev.gpu
         self.ctx.host_spec = fdev.gpu.spec.host
-        self._kernel_observe = None
-        self._dma_observe = None
+        self.synchronizer = fdev.synchronizer
+        self._kernel_observe = self._dma_observe = None
 
     # -- parent-thread phases ----------------------------------------------
 
     def prepare(self):
-        """Host + initial device allocation (parent thread, up front)."""
-        yield from self.app.allocate_host_memory(self.ctx)
-        yield from self.app.allocate_device_memory(self.ctx)
+        yield from super().prepare()
         self.bound_device = self.fdev.index
-        yield from self.app.initialize_host_memory(self.ctx)
 
     def cleanup(self):
-        """Free memory after the run (parent thread).
+        yield from self.release_device()
+        yield from self.app.free_host_memory(self.ctx)
 
-        Device buffers on a lost device are unreachable — ``cudaFree``
-        against a fallen device would just error — so they are dropped
-        without device bookkeeping.
-        """
-        ctx = self.ctx
-        if self.bound_device is None or (
-            self.fdev is not None and self.fdev.lost
-        ):
-            ctx.device_allocations.clear()
+    def release_device(self):
+        """Free device memory — or drop it on a lost device, where
+        ``cudaFree`` would just error."""
+        if self.bound_device is None or self.fdev.lost:
+            self.ctx.device_allocations.clear()
         else:
-            yield from self.app.free_device_memory(ctx)
-        yield from self.app.free_host_memory(ctx)
+            yield from self.app.free_device_memory(self.ctx)
 
     # -- the attempt body --------------------------------------------------
 
@@ -135,50 +104,66 @@ class FleetAppThread:
         ``Interrupt(DeviceLost)`` propagate when the device dies
         mid-attempt.
         """
-        env = self.env
-        app = self.app
-        ctx = self.ctx
-        record = self.record
-        ckpt = self.checkpoint
         fdev = self.fdev
+        ckpt = self.checkpoint
+        stream = fdev.manager.acquire(self.app.app_id)
+        self.assign_stream(stream)
+        self.record.stream_index = ckpt.stream_index = stream.index
+        self.record.device_index = ckpt.device_index = fdev.index
+        yield from self.run()
+        self._harvest_counted()  # a restore with no phase left after it
 
-        stream = fdev.manager.acquire(app.app_id)
-        self.stream = stream
-        ctx.stream = stream.device_stream
-        record.stream_index = stream.index
-        record.device_index = fdev.index
-        ckpt.device_index = fdev.index
-        ckpt.stream_index = stream.index
-
-        lock_request = yield from stream.occupy(app.app_id)
-        if record.gpu_start == 0.0:
-            record.gpu_start = env.now
-        try:
-            yield from self._ensure_device_state()
-            phases = app.profile.phases
-            while ckpt.phase_index < len(phases):
-                phase = phases[ckpt.phase_index]
-                yield from self._run_phase(phase)
-                # Phase boundary: quiesce, surface faults, snapshot.
-                yield ctx.stream.synchronize_event()
-                self._check_faults()
-                self._harvest_counted()
-                ckpt.phase_index += 1
-                ckpt.copy_index = 0
-                ckpt.kernel_index = 0
-                ckpt.time = env.now
-                if self.on_checkpoint is not None:
-                    self.on_checkpoint(self)
-            # Final cudaStreamSynchronize (mirrors AppThread.run).
-            yield ctx.stream.synchronize_event()
+    def _restore(self):
+        # After a (re-)bind: re-allocate, then re-upload the completed
+        # HtoD payload in one burst, so recovery cost shows up in the
+        # same transfer metrics as regular work.
+        ctx = self.ctx
+        if self.bound_device == self.fdev.index:
+            return
+        ctx.device_allocations.clear()
+        yield from self.app.allocate_device_memory(ctx)
+        self.bound_device = self.fdev.index
+        if self.checkpoint.restore_bytes > 0:
+            yield ctx.env.timeout(ctx.host_spec.api_call_overhead)
+            cmd = ctx.stream.enqueue_memcpy(
+                CopyDirection.HTOD, self.checkpoint.restore_bytes,
+                buffer=RESTORE_BUFFER, app_id=self.app.app_id,
+            )
+            ctx.memcpy_commands.append(cmd)
+            yield from self._sync("checkpoint.restore")
             self._check_faults()
-            self._harvest_counted()
-            record.complete_time = env.now
-        finally:
-            # A lost device's stream is abandoned, not vacated: every app
-            # holding or waiting on it is being migrated off the device.
-            if not fdev.lost:
-                stream.vacate(app.app_id, lock_request)
+            if not self.fdev.lost:
+                self._counted.add(cmd)  # harvested, but not progress
+
+    def _resume_phase(self) -> int:
+        return self.checkpoint.phase_index
+
+    def _first_copy(self) -> int:
+        self._next_seq = self.checkpoint.copy_index
+        return self._next_seq
+
+    def _first_kernel(self) -> int:
+        self._next_seq = self.checkpoint.kernel_index
+        return self._next_seq
+
+    def _phase_done(self):
+        yield from self._sync("stream.sync.phase")
+        self._check_faults()
+        self._harvest_counted()
+        ckpt = self.checkpoint
+        ckpt.phase_index += 1
+        ckpt.copy_index = ckpt.kernel_index = 0
+        ckpt.time = self.env.now
+        if self.on_checkpoint is not None:
+            self.on_checkpoint(self)
+
+    def _release(self, lock_request) -> None:
+        # No harvest here: a primary cut short by a hedge win must not add
+        # its partial phase to the record (boundaries and the failure
+        # bookkeeping harvest).  A lost device's stream is abandoned, not
+        # vacated: every app holding or waiting on it is migrating off.
+        if not self.fdev.lost:
+            self.stream.vacate(self.app.app_id, lock_request)
 
     # -- failure bookkeeping ----------------------------------------------
 
@@ -186,304 +171,117 @@ class FleetAppThread:
         """Account the loss and return the re-executed-kernel count.
 
         A kernel is *re-executed* iff it started on the lost device at or
-        before the loss instant and never entered the completed prefix;
-        FIFO streams make that at most one per migration.  Uncounted
-        commands are dropped (their phantom completions are ignored) and
-        the device binding is cleared so the next attempt re-allocates
-        and restores.
+        before the loss instant and never entered the completed prefix.
+        Uncounted commands are dropped and the binding cleared, so the
+        next attempt re-allocates and restores.
         """
         loss_time = getattr(cause, "time", self.env.now)
-        reexec = 0
-        for cmd in self.ctx.kernel_commands:
-            if (
-                cmd.started.triggered
-                and cmd.started.value <= loss_time
-                and not getattr(cmd, "_fleet_counted", False)
-            ):
-                reexec += 1
-        self._harvest_counted()
-        self._clear_commands()
+        reexec = sum(
+            1 for cmd in self.ctx.kernel_commands
+            if cmd.started.triggered and cmd.started.value <= loss_time
+            and cmd not in self._counted
+        )
+        self.reset_attempt()
         self.bound_device = None
         return reexec
 
     def reset_attempt(self) -> None:
-        """Drop one failed attempt's uncompleted commands (same device).
-
-        The checkpointed completed prefix survives: the retry resumes
-        from ``(phase_index, copy_index, kernel_index)``, not from
-        scratch.
-        """
+        """Drop one failed attempt's uncompleted commands; the retry
+        resumes from the checkpointed prefix, not from scratch."""
         self._harvest_counted()
         self._clear_commands()
 
     def restart_from_scratch(self) -> int:
-        """Forget all checkpointed progress (checkpointing disabled).
-
-        Returns the number of completed kernels wiped so the driver can
-        account the whole prefix as re-executed work.
-        """
+        """Forget all checkpointed progress (checkpointing disabled) and
+        return the completed kernels wiped, all re-executed work."""
         self._clear_commands()
         ckpt = self.checkpoint
         wiped = ckpt.completed_kernels
-        ckpt.phase_index = 0
-        ckpt.copy_index = 0
-        ckpt.kernel_index = 0
-        ckpt.completed_copies = 0
-        ckpt.completed_kernels = 0
-        ckpt.restore_bytes = 0
+        ckpt.phase_index = ckpt.copy_index = ckpt.kernel_index = 0
+        ckpt.completed_copies = ckpt.completed_kernels = ckpt.restore_bytes = 0
         ckpt.time = 0.0
         self.record.transfers.clear()
         self.record.kernels.clear()
         return wiped
 
-    def _clear_commands(self) -> None:
-        ctx = self.ctx
-        ctx.memcpy_commands.clear()
-        ctx.kernel_commands.clear()
-        ctx._new_transfers.clear()
-
-    # -- device state ------------------------------------------------------
-
-    def _ensure_device_state(self):
-        """(Re-)allocate device memory and restore checkpointed state.
-
-        No-op when the app is already bound to this device.  After a
-        migration the checkpoint's cumulative completed HtoD payload is
-        re-uploaded in one burst (the serialized restore stream), so the
-        recovery cost is visible in the same transfer metrics as regular
-        work.
-        """
-        ctx = self.ctx
-        ckpt = self.checkpoint
-        if self.bound_device == self.fdev.index:
+    def _harvest_counted(self) -> None:
+        counted = self._counted
+        if not counted:
             return
-        ctx.device_allocations.clear()
-        yield from self.app.allocate_device_memory(ctx)
-        self.bound_device = self.fdev.index
-        if ckpt.restore_bytes > 0:
-            yield ctx.env.timeout(ctx.host_spec.api_call_overhead)
-            cmd = ctx.stream.enqueue_memcpy(
-                CopyDirection.HTOD,
-                ckpt.restore_bytes,
-                buffer=RESTORE_BUFFER,
-                app_id=self.app.app_id,
-            )
-            self._watch_restore(cmd)
-            ctx.note_transfer(cmd)
-            ctx.drain_new_transfers()
-            yield ctx.stream.synchronize_event()
-            self._check_faults()
-
-    # -- phase execution ---------------------------------------------------
-
-    def _run_phase(self, phase):
         ctx = self.ctx
-        env = self.env
-        ckpt = self.checkpoint
-        host = ctx.host_spec
-        if isinstance(phase, TransferPhase):
-            yield from self._run_transfer_phase(phase)
-        elif isinstance(phase, KernelPhase):
-            for seq, descriptor in enumerate(
-                phase.descriptors[ckpt.kernel_index :],
-                start=ckpt.kernel_index,
-            ):
-                yield env.timeout(
-                    host.api_call_overhead + host.kernel_launch_overhead
-                )
-                cmd = ctx.stream.enqueue_kernel(
-                    descriptor, app_id=self.app.app_id
-                )
-                self._watch_kernel(cmd, seq)
-                ctx.note_kernel(cmd)
-        elif isinstance(phase, SyncPhase):
-            yield ctx.stream.synchronize_event()
-        elif isinstance(phase, HostComputePhase):
-            yield env.timeout(phase.duration)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown phase {phase!r}")
-
-    def _run_transfer_phase(self, phase: TransferPhase):
-        """One transfer phase, resumable, with the paper's optional mutex."""
-        ctx = self.ctx
-        ckpt = self.checkpoint
-        buffers = phase.buffers[ckpt.copy_index :]
-        if not buffers:
-            return
-        use_mutex = (
-            self.fdev.synchronizer.enabled
-            and phase.direction is CopyDirection.HTOD
-            and phase.synchronized
-        )
-        if use_mutex:
-            token = yield from self.fdev.synchronizer.acquire(self.app.app_id)
-            try:
-                yield from self._enqueue_copies(phase, buffers)
-                pending = [c.done for c in ctx.drain_new_transfers()]
-                if pending:
-                    yield AllOf(self.env, pending)
-            finally:
-                self.fdev.synchronizer.release(self.app.app_id, token)
-        else:
-            yield from self._enqueue_copies(phase, buffers)
-            ctx.drain_new_transfers()
-
-    def _enqueue_copies(self, phase: TransferPhase, buffers):
-        ctx = self.ctx
-        start = self.checkpoint.copy_index
-        for seq, buf in enumerate(buffers, start=start):
-            yield ctx.env.timeout(ctx.host_spec.api_call_overhead)
-            cmd = ctx.stream.enqueue_memcpy(
-                phase.direction, buf.nbytes, buffer=buf.name,
-                app_id=self.app.app_id,
-            )
-            self._watch_copy(cmd, seq, phase.direction)
-            ctx.note_transfer(cmd)
+        copies, kernels = [], []
+        for cmds, done in (
+            (ctx.memcpy_commands, copies),
+            (ctx.kernel_commands, kernels),
+        ):
+            keep = []
+            for cmd in cmds:
+                (done if cmd in counted else keep).append(cmd)
+            cmds[:] = keep
+        counted.clear()  # the rest was dropped with an earlier attempt
+        self._harvest(copies, kernels)
 
     # -- completion tracking -----------------------------------------------
 
-    def _watch_kernel(self, cmd, seq: int) -> None:
-        cmd._fleet_seq = seq
-        fdev = self.fdev
-        ckpt = self.checkpoint
-        # The observation hook runs once per completed kernel — bind a
-        # per-device observer and the block duration now so the callback
-        # does no repeated attribute chasing.
-        observe = self._kernel_observe
-        if observe is None and self.detector is not None:
-            observe = self._kernel_observe = self.detector.kernel_observer(
-                fdev.index
+    # The watchers bind everything a completion needs as default
+    # arguments: one tuple per command, no closure cells, no attribute
+    # chasing when the callback fires.
+
+    def _watch_kernel(self, cmd) -> None:
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        if self._kernel_observe is None and self.detector is not None:
+            self._kernel_observe = self.detector.kernel_observer(
+                self.fdev.index
             )
-        block_duration = cmd.descriptor.block_duration
 
         def note(
-            _event,
-            cmd=cmd,
-            fdev=fdev,
-            ckpt=ckpt,
-            observe=observe,
-            block_duration=block_duration,
+            event, cmd=cmd, seq=seq, fdev=self.fdev, ckpt=self.checkpoint,
+            counted=self._counted, observe=self._kernel_observe,
+            block_duration=cmd.descriptor.block_duration,
         ):
-            # Phantom completion on an abandoned device, a failed launch,
-            # or an out-of-prefix completion (a failed command ahead of
-            # this one broke the contiguous prefix): not progress.
-            if fdev.lost or not cmd.done.ok:
-                return
-            if cmd._fleet_seq != ckpt.kernel_index:
+            # A phantom completion, a failed launch, or one past a gap in
+            # the prefix (a failed command ahead of it) is not progress.
+            if fdev.lost or not cmd.done.ok or seq != ckpt.kernel_index:
                 return
             ckpt.kernel_index += 1
             ckpt.completed_kernels += 1
-            cmd._fleet_counted = True
+            counted.add(cmd)
             if observe is not None:
-                # Latency stretch: wall time over the kernel's ideal
-                # time at spec clocks (one block_duration per wave).
+                # Latency stretch over the ideal time at spec clocks (one
+                # block_duration per wave).  Both events have triggered,
+                # so read the raw slots, not the guarded properties.
                 ideal = (cmd.waves or 1) * block_duration
                 if ideal > 0:
-                    # _event is cmd.done itself; the prefix check above
-                    # proves both events triggered, so read the raw
-                    # slots instead of the guarded properties.
-                    observe((_event._value - cmd.started._value) / ideal)
+                    observe((event._value - cmd.started._value) / ideal)
 
         cmd.done.callbacks.append(note)
 
-    def _watch_copy(self, cmd, seq: int, direction: CopyDirection) -> None:
-        cmd._fleet_seq = seq
+    def _watch_copy(self, cmd) -> None:
+        seq = self._next_seq
+        self._next_seq = seq + 1
         fdev = self.fdev
-        ckpt = self.checkpoint
-        observe = self._dma_observe
-        if observe is None and self.detector is not None:
-            observe = self._dma_observe = self.detector.dma_observer(
-                fdev.index
-            )
-        # The ideal wire time depends only on direction and payload, both
-        # fixed at enqueue: compute it once here, not per completion.
-        wire = 0.0
-        if observe is not None:
-            spec = fdev.gpu.spec
-            wire = (
-                spec.dma_htod
-                if direction is CopyDirection.HTOD
-                else spec.dma_dtoh
-            ).transfer_time(cmd.nbytes)
+        if self._dma_observe is None and self.detector is not None:
+            self._dma_observe = self.detector.dma_observer(fdev.index)
+        htod = cmd.direction is CopyDirection.HTOD
+        wire = 0.0  # ideal wire time: fixed by direction and payload
+        if self._dma_observe is not None:
+            dma = fdev.gpu.spec.dma_htod if htod else fdev.gpu.spec.dma_dtoh
+            wire = dma.transfer_time(cmd.nbytes)
 
         def note(
-            _event,
-            cmd=cmd,
-            fdev=fdev,
-            ckpt=ckpt,
-            direction=direction,
-            observe=observe,
+            event, cmd=cmd, seq=seq, fdev=fdev, ckpt=self.checkpoint,
+            counted=self._counted, htod=htod, observe=self._dma_observe,
             wire=wire,
         ):
-            if fdev.lost or not cmd.done.ok:
-                return
-            if cmd._fleet_seq != ckpt.copy_index:
+            if fdev.lost or not cmd.done.ok or seq != ckpt.copy_index:
                 return
             ckpt.copy_index += 1
             ckpt.completed_copies += 1
-            if direction is CopyDirection.HTOD:
+            if htod:
                 ckpt.restore_bytes += cmd.nbytes
-            cmd._fleet_counted = True
+            counted.add(cmd)
             if observe is not None and wire > 0:
-                observe((_event._value - cmd.started._value) / wire)
+                observe((event._value - cmd.started._value) / wire)
 
         cmd.done.callbacks.append(note)
-
-    def _watch_restore(self, cmd) -> None:
-        """The migration re-upload: harvested, but not profile progress."""
-        fdev = self.fdev
-
-        def note(_event, cmd=cmd, fdev=fdev):
-            if fdev.lost or not cmd.done.ok:
-                return
-            cmd._fleet_counted = True
-
-        cmd.done.callbacks.append(note)
-
-    # -- fault surfacing / measurement -------------------------------------
-
-    def _check_faults(self) -> None:
-        """Raise the first recorded command failure of this attempt."""
-        for cmd in self.ctx.kernel_commands:
-            if cmd.done.triggered and not cmd.done.ok:
-                raise cmd.done.value
-        for cmd in self.ctx.memcpy_commands:
-            if cmd.done.triggered and not cmd.done.ok:
-                raise cmd.done.value
-
-    def _harvest_counted(self) -> None:
-        """Move counted (completed-prefix) commands into metric events."""
-        record = self.record
-        ctx = self.ctx
-        keep_copies = []
-        for cmd in ctx.memcpy_commands:
-            if not getattr(cmd, "_fleet_counted", False):
-                keep_copies.append(cmd)
-                continue
-            record.transfers.append(
-                TransferEvent(
-                    direction=cmd.direction,
-                    nbytes=cmd.nbytes,
-                    buffer=cmd.buffer,
-                    enqueued=cmd.enqueue_time,
-                    started=cmd.started.value,
-                    completed=cmd.done.value,
-                )
-            )
-        ctx.memcpy_commands[:] = keep_copies
-        keep_kernels = []
-        for cmd in ctx.kernel_commands:
-            if not getattr(cmd, "_fleet_counted", False):
-                keep_kernels.append(cmd)
-                continue
-            record.kernels.append(
-                KernelEvent(
-                    name=cmd.descriptor.name,
-                    num_blocks=cmd.descriptor.num_blocks,
-                    enqueued=cmd.enqueue_time,
-                    started=cmd.started.value,
-                    completed=cmd.done.value,
-                    waves=cmd.waves,
-                )
-            )
-        ctx.kernel_commands[:] = keep_kernels

@@ -292,14 +292,7 @@ class TestHarness:
                         type=record.type_name, index=launch_index,
                     )
                     trace_ctxs[launch_index] = thread.trace_ctx
-                prepare_from = env.now
                 yield from thread.prepare()
-                if tracer is not None and env.now > prepare_from:
-                    tracer.record_leaf(
-                        thread.trace_ctx, "host.prepare", "prepare",
-                        prepare_from, env.now,
-                    )
-                thread._trace_ready_at = env.now
 
             # Then start the power-monitor thread and launch each
             # application on its own child thread, in schedule order.
@@ -319,12 +312,12 @@ class TestHarness:
                 thread.assign_stream(stream)
                 thread.record.stream_index = stream.index
                 thread.record.spawn_time = env.now
-                if tracer is not None and env.now > thread._trace_ready_at:
+                if tracer is not None and env.now > thread.ready_at:
                     # Spawn stagger: time between being prepared and the
                     # parent reaching this app in launch order.
                     tracer.record_leaf(
                         thread.trace_ctx, "admission.stagger",
-                        "admission-queue", thread._trace_ready_at, env.now,
+                        "admission-queue", thread.ready_at, env.now,
                     )
                 if resil is None:
                     children.append(

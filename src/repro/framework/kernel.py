@@ -241,26 +241,32 @@ class KernelApp:
         """Load/initialize host data (CPU time only)."""
         yield ctx.env.timeout(self.profile.init_cost)
 
-    def transfer_memory(self, ctx: "AppContext", phase: TransferPhase) -> Generator:
+    def transfer_memory(
+        self, ctx: "AppContext", phase: TransferPhase, start: int = 0
+    ) -> Generator:
         """Enqueue one ``cudaMemcpyAsync`` per buffer of ``phase``.
 
         Does *not* wait for completion (CUDA async semantics); the caller
-        decides whether to synchronize (the transfer mutex does).
+        decides whether to synchronize (the transfer mutex does).  A
+        migrated app resumes at buffer ``start``, skipping copies that
+        already landed.
         """
-        for buf in phase.buffers:
+        for buf in phase.buffers[start:]:
             yield ctx.env.timeout(ctx.host_spec.api_call_overhead)
             cmd = ctx.stream.enqueue_memcpy(
                 phase.direction, buf.nbytes, buffer=buf.name, app_id=self.app_id
             )
             ctx.note_transfer(cmd)
 
-    def execute_kernel(self, ctx: "AppContext", phase: KernelPhase) -> Generator:
-        """Enqueue the phase's kernel launches in order (async)."""
-        for descriptor in phase.descriptors:
-            yield ctx.env.timeout(
-                ctx.host_spec.api_call_overhead
-                + ctx.host_spec.kernel_launch_overhead
-            )
+    def execute_kernel(
+        self, ctx: "AppContext", phase: KernelPhase, start: int = 0
+    ) -> Generator:
+        """Enqueue the phase's kernel launches in order (async), from
+        launch ``start`` on (non-zero only when a migrated app resumes)."""
+        host = ctx.host_spec
+        launch_cost = host.api_call_overhead + host.kernel_launch_overhead
+        for descriptor in phase.descriptors[start:]:
+            yield ctx.env.timeout(launch_cost)
             cmd = ctx.stream.enqueue_kernel(descriptor, app_id=self.app_id)
             ctx.note_kernel(cmd)
 

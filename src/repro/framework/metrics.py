@@ -83,7 +83,11 @@ class AppRecord:
     stream_index: int
     launch_index: int            # position in the launch schedule
     spawn_time: float = 0.0      # host thread creation
-    gpu_start: float = 0.0       # stream occupied (GPU section begins)
+    # Stream occupied (GPU section begins); 0.0 = unset.  The app thread
+    # stamps it only while unset: a supervisor retry clears it first (so
+    # it is the last attempt's start), while a fleet retry, migration or
+    # deadline re-run keeps the first attempt's start.
+    gpu_start: float = 0.0
     complete_time: float = 0.0   # GPU section ends (after final sync + frees)
     transfers: List[TransferEvent] = field(default_factory=list)
     kernels: List[KernelEvent] = field(default_factory=list)

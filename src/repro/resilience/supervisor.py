@@ -21,9 +21,12 @@ The supervisor itself *never* fails: a permanently failed application is
 recorded (``record.failed``) and the supervisor returns normally, so the
 parent's ``AllOf(children)`` barrier completes even under faults.
 
-The wrapped thread is duck-typed (``run()``, ``reset_for_retry()``,
-``record``, ``app``): this module depends only on :mod:`repro.sim`, never
-on :mod:`repro.framework`.
+The wrapped thread is the framework's one app thread,
+:class:`~repro.framework.app_thread.AppThread`, used duck-typed through
+``run()``, ``reset_for_retry()``, ``record``, ``app`` and ``trace_ctx``:
+this module depends only on :mod:`repro.sim`, never on
+:mod:`repro.framework`.  A retry re-runs the GPU section from phase 0
+(only fleet threads resume from a checkpoint).
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class AppSupervisor:
         Simulation environment.
     thread:
         The application thread to supervise (any object with ``run()``,
-        ``reset_for_retry()``, a ``record`` and an ``app`` with
-        ``app_id``).
+        ``reset_for_retry()``, a ``record``, a ``trace_ctx`` and an
+        ``app`` with ``app_id``).
     policy:
         Retry policy; ``None`` means a single attempt.
     watchdog, deadline:
@@ -111,7 +114,7 @@ class AppSupervisor:
         # trace (backoffs, watchdog fires, budget denials).  Both checks
         # default to None, so unsupervised-style runs pay nothing.
         tracer = env.tracer
-        trace_ctx = getattr(thread, "trace_ctx", None)
+        trace_ctx = thread.trace_ctx
         traced = tracer is not None and trace_ctx is not None
 
         while True:

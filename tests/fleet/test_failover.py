@@ -8,12 +8,17 @@ the uninterrupted run.
 """
 
 import json
+from collections import defaultdict
 
 import pytest
 
+from repro.analysis.critical_path import extract_critical_paths
 from repro.fleet import FleetHarness
+from repro.gpu.commands import CopyDirection
 from repro.resilience.faults import FaultKind, FaultPlan, FaultSpec
 from repro.sim.errors import HarnessCrash
+from repro.telemetry import Tracing
+from repro.telemetry.tracing import ENGINE_CATEGORIES
 
 from .conftest import FAST_HEALTH, fast_fleet, make_apps
 
@@ -133,6 +138,20 @@ class TestDeviceLossWithFailover:
         completed = sum(d.apps_completed for d in lossy.devices)
         assert completed == NUM_APPS
 
+    def test_migration_keeps_first_attempt_gpu_start(
+        self, baseline, lossy, loss_at
+    ):
+        # A fleet re-bind resumes the same GPU section: gpu_start stays
+        # the first attempt's, which the loss-free run shares.
+        first = {r.app_id: r.gpu_start for r in baseline.records}
+        migrated = [
+            r for r in lossy.records
+            if r.migrations > 0 and first[r.app_id] < loss_at
+        ]
+        assert migrated
+        for record in migrated:
+            assert record.gpu_start == first[record.app_id]
+
     def test_deterministic_rerun(self, lossy, loss_plan):
         again = run(plan=loss_plan)
         key = lambda r: (
@@ -244,3 +263,76 @@ class TestCrashDuringFailoverResume:
         )
         with pytest.raises(JournalMismatchError):
             self._journal_run(other_plan, path, resume=True)
+
+
+def _engine_spans(record):
+    """The engine leaf spans one harvest of ``record``'s events yields."""
+    spans = []
+    for t in record.transfers:
+        if t.started > t.enqueued:
+            spans.append(("dma-queue", "dma.queue", t.enqueued, t.started))
+        if t.completed > t.started:
+            name = (
+                "dma.service.htod"
+                if t.direction is CopyDirection.HTOD
+                else "dma.service.dtoh"
+            )
+            spans.append(("dma-service", name, t.started, t.completed))
+    for k in record.kernels:
+        if k.started > k.enqueued:
+            spans.append(("hyperq-slot", "hyperq.slot", k.enqueued, k.started))
+        if k.completed > k.started:
+            spans.append(("smx-exec", k.name, k.started, k.completed))
+    return sorted(spans)
+
+
+@pytest.mark.tracing
+class TestTracedFailover:
+    """Fleet apps run the framework AppThread, so a traced failover carries
+    its wait and engine spans — without changing a single result."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, loss_plan):
+        tracing = Tracing(seed=SEED)
+        return run(plan=loss_plan, tracing=tracing), tracing
+
+    def test_tracing_is_passive(self, lossy, traced):
+        result, _ = traced
+        key = lambda r: (
+            r.app_id, r.spawn_time, r.gpu_start, r.complete_time, r.outcome
+        )
+        assert lossy.migrations >= 1
+        assert [key(r) for r in result.records] == [
+            key(r) for r in lossy.records
+        ]
+
+    def test_critical_paths_sum_to_sojourn(self, traced):
+        paths = extract_critical_paths(traced[1])
+        assert len(paths) == NUM_APPS
+        for path in paths:
+            assert sum(path.categories.values()) == pytest.approx(
+                path.sojourn, abs=1e-9
+            )
+
+    def test_framework_waits_reach_the_critical_path(self, traced):
+        # The fleet harness itself records only prepare and migration
+        # stalls; anything else comes from the app thread.
+        harness_only = {"prepare", "migration-stall", "service-other"}
+        assert any(
+            set(path.categories) - harness_only
+            for path in extract_critical_paths(traced[1])
+        )
+
+    def test_each_command_spans_recorded_once(self, traced):
+        # Harvests run at every phase boundary and again after the
+        # migration; each harvested command still yields its spans once.
+        result, tracing = traced
+        by_app = defaultdict(list)
+        for span in tracing.spans:
+            if span.category in ENGINE_CATEGORIES:
+                by_app[span.app].append(
+                    (span.category, span.name, span.start, span.end)
+                )
+        assert by_app
+        for record in result.records:
+            assert sorted(by_app[record.app_id]) == _engine_spans(record)

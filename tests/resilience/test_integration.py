@@ -189,3 +189,33 @@ class TestNoFaultEquivalence:
         assert hooked.makespan == clean.makespan
         assert hooked.energy == clean.energy
         assert hooked.harness.resilience.applied_total == 0
+
+
+class TestRetryGpuStart:
+    def test_retry_reports_the_last_attempts_gpu_start(self):
+        # A supervisor retry re-runs the GPU section from phase 0, so the
+        # record's gpu_start is the retry's start, not the first attempt's.
+        workload = Workload.heterogeneous_pair("gaussian", "needle", 2)
+        clean = ExperimentRunner().run(
+            RunConfig(workload=workload, num_streams=2)
+        )
+        first = {r.app_id: r.gpu_start for r in clean.harness.records}
+        plan = FaultPlan(
+            [FaultSpec(FaultKind.LAUNCH_FAIL, 0.0, target="gaussian#0")]
+        )
+        faulted = ExperimentRunner().run(
+            RunConfig(
+                workload=workload,
+                num_streams=2,
+                resilience=ResilienceConfig(
+                    plan=plan, retry=RetryPolicy(max_attempts=2)
+                ),
+            )
+        )
+        by_id = {r.app_id: r for r in faulted.harness.records}
+        retried = by_id["gaussian#0"]
+        assert retried.retries == 1 and not retried.failed
+        assert retried.gpu_start > first["gaussian#0"]
+        assert retried.complete_time > retried.gpu_start
+        other = next(a for a in by_id if a != "gaussian#0")
+        assert by_id[other].gpu_start == first[other]
