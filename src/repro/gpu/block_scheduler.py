@@ -39,7 +39,7 @@ from .smx import Placement, SMXArray
 __all__ = ["GridEngine", "GridState"]
 
 
-@dataclass
+@dataclass(slots=True)
 class GridState:
     """Book-keeping for one in-flight kernel launch."""
 
@@ -59,6 +59,34 @@ class GridState:
     def finished(self) -> bool:
         """All blocks placed and retired."""
         return self.to_place == 0 and self.outstanding == 0
+
+
+class _Cohort(Event):
+    """The retirement of the blocks of one grid placed in one pass.
+
+    Created already triggered, to be scheduled at the retirement instant.
+    It carries what :meth:`GridEngine._retire` releases, so no closure is
+    built per cohort.
+    """
+
+    __slots__ = ("grid", "placements", "placed")
+
+    def __init__(
+        self,
+        env: Environment,
+        retire: Callable[["_Cohort"], None],
+        grid: GridState,
+        placements: List[Placement],
+        placed: int,
+    ) -> None:
+        self.env = env
+        self.callbacks = [retire]
+        self._ok = True
+        self._defused = False
+        self._value = None
+        self.grid = grid
+        self.placements = placements
+        self.placed = placed
 
 
 class GridEngine:
@@ -120,6 +148,9 @@ class GridEngine:
         self.max_concurrent_grids = max_concurrent_grids
         self.retire_quantum = retire_quantum
         self._pending: List[GridState] = []
+        # Pending grids with resident blocks, kept in step with every
+        # change of ``GridState.outstanding`` to or from zero.
+        self._executing = 0
         self._pass_scheduled = False
         # Statistics
         self.grids_completed: int = 0
@@ -180,20 +211,19 @@ class GridEngine:
             return
         self._pass_scheduled = True
         evt = Event(self.env)
-        evt._ok = True
-        evt._value = None
         evt.callbacks.append(self._run_pass)
         # NORMAL priority: runs after all already-queued same-time cohort
         # retirements, so released resources are visible to this pass.
-        self.env.schedule(evt, priority=NORMAL)
+        evt.succeed(priority=NORMAL)
 
     def _run_pass(self, _evt: Event) -> None:
         self._pass_scheduled = False
-        now = self.env.now
+        now = self.env._now
+        smx = self.smx
         changed = False
-        executing = sum(1 for g in self._pending if g.outstanding > 0)
+        executing = self._executing
         # Fast path: with no free block slot anywhere, no kernel can place.
-        free_block_slots = self.smx.free_block_slots
+        free_block_slots = smx.free_block_slots
 
         for grid in self._pending:
             if free_block_slots == 0:
@@ -212,15 +242,18 @@ class GridEngine:
             if grid.outstanding == 0:
                 if executing >= self.max_concurrent_grids:
                     continue
-            placements = self.smx.place(grid.kernel, grid.to_place)
+            kernel = grid.cmd.descriptor
+            placements = smx.place(kernel, grid.to_place)
             placed = sum(p.nblocks for p in placements)
             if placed == 0:
                 continue
-            if grid.outstanding == 0 and grid.to_place == grid.kernel.num_blocks:
-                # First blocks of this launch.
-                grid.cmd.started.succeed(now)
-                grid.cmd.first_block_time = now
-                executing += 1
+            if grid.outstanding == 0:
+                self._executing += 1
+                if grid.to_place == kernel._num_blocks:
+                    # First blocks of this launch.
+                    grid.cmd.started.succeed(now)
+                    grid.cmd.first_block_time = now
+                    executing += 1
             grid.to_place -= placed
             grid.outstanding += placed
             grid.waves += 1
@@ -236,7 +269,7 @@ class GridEngine:
         self, grid: GridState, placements: List[Placement], placed: int
     ) -> None:
         """Arrange for a cohort to retire after the kernel's block duration."""
-        duration = grid.kernel.block_duration * grid.hang_factor
+        duration = grid.cmd.descriptor.block_duration * grid.hang_factor
         if self.injector is not None:
             # Gray SMX slowdown acts per *cohort*, not per launch: a
             # window opening mid-kernel slows its remaining waves, which
@@ -250,25 +283,24 @@ class GridEngine:
         if q > 0:
             # Round the absolute retirement instant up to the quantum so
             # near-simultaneous cohorts coalesce into one scheduling pass.
-            now = self.env.now
+            now = self.env._now
             target = now + duration
             quantized = -(-target // q) * q  # ceil to the grid
             duration = quantized - now
-        evt = Event(self.env)
-        evt._ok = True
-        evt._value = None
+        cohort = _Cohort(self.env, self._retire, grid, placements, placed)
+        self.env.schedule(cohort, delay=duration, priority=NORMAL)
 
-        def _retire(_e: Event, grid=grid, placements=placements, placed=placed) -> None:
-            self.smx.release(grid.kernel, placements)
-            grid.outstanding -= placed
-            if grid.finished:
+    def _retire(self, cohort: _Cohort) -> None:
+        grid = cohort.grid
+        self.smx.release(grid.cmd.descriptor, cohort.placements)
+        grid.outstanding -= cohort.placed
+        if grid.outstanding == 0:
+            self._executing -= 1
+            if grid.to_place == 0:
                 self._finish(grid)
-            if self.on_change is not None:
-                self.on_change()
-            self._request_pass()
-
-        evt.callbacks.append(_retire)
-        self.env.schedule(evt, delay=duration, priority=NORMAL)
+        if self.on_change is not None:
+            self.on_change()
+        self._request_pass()
 
     def _finish(self, grid: GridState) -> None:
         now = self.env.now

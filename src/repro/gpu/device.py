@@ -14,7 +14,7 @@ paper's experiments — it is the substrate those layers run on.
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import Environment
 from ..sim.events import AllOf, Event
@@ -155,26 +155,27 @@ class GPUDevice:
             admission=admission,
             injector=injector,
         )
-        self.dma = {
-            CopyDirection.HTOD: CopyEngine(
-                env,
-                CopyDirection.HTOD,
-                self.spec.dma_htod,
-                policy=copy_policy,
-                trace=trace,
-                on_change=self._power_changed,
-                injector=injector,
-            ),
-            CopyDirection.DTOH: CopyEngine(
-                env,
-                CopyDirection.DTOH,
-                self.spec.dma_dtoh,
-                policy=copy_policy,
-                trace=trace,
-                on_change=self._power_changed,
-                injector=injector,
-            ),
-        }
+        # The hot path holds the copy engines as plain attributes: an
+        # enum-keyed lookup hashes the enum in Python on every call.
+        self._htod = CopyEngine(
+            env,
+            CopyDirection.HTOD,
+            self.spec.dma_htod,
+            policy=copy_policy,
+            trace=trace,
+            on_change=self._power_changed,
+            injector=injector,
+        )
+        self._dtoh = CopyEngine(
+            env,
+            CopyDirection.DTOH,
+            self.spec.dma_dtoh,
+            policy=copy_policy,
+            trace=trace,
+            on_change=self._power_changed,
+            injector=injector,
+        )
+        self.dma = {CopyDirection.HTOD: self._htod, CopyDirection.DTOH: self._dtoh}
         self.fabric = QueueFabric(env, self.spec.hardware_queues)
         self.memory = MemoryAllocator(self.spec.global_memory)
         self._stream_ids = count(0)
@@ -184,6 +185,10 @@ class GPUDevice:
         # active-stream term).
         self._stream_inflight: Dict[int, int] = {}
         self._active_streams: int = 0
+        # Power inputs seen so far, keyed by (resident threads, busy copy
+        # engines, any command in flight, active streams), each with its
+        # validated PowerState.  Only a valid state is ever stored.
+        self._power_states: Dict[Tuple[int, int, bool, int], PowerState] = {}
         # Statistics
         self.commands_issued: int = 0
 
@@ -246,7 +251,10 @@ class GPUDevice:
             lambda _e, s=sid: self._command_retired(s)
         )
         if isinstance(cmd, MemcpyCommand):
-            self.dma[cmd.direction].submit(cmd)
+            if cmd.direction is CopyDirection.HTOD:
+                self._htod.submit(cmd)
+            else:
+                self._dtoh.submit(cmd)
         elif isinstance(cmd, KernelLaunchCommand):
             self.grid_engine.submit(cmd)
         elif isinstance(cmd, MarkerCommand):
@@ -268,17 +276,22 @@ class GPUDevice:
     # -- power ------------------------------------------------------------------
 
     def _power_changed(self) -> None:
-        dma_busy = (
-            1 if self.dma[CopyDirection.HTOD].busy else 0
-        ) + (1 if self.dma[CopyDirection.DTOH].busy else 0)
-        self.power.update(
-            PowerState(
-                occupancy=min(self.smx.thread_occupancy, 1.0),
-                dma_busy=dma_busy,
-                any_active=self._inflight > 0,
-                active_streams=self._active_streams,
-            )
+        key = (
+            self.smx._resident_threads,
+            self._htod.busy + self._dtoh.busy,
+            self._inflight > 0,
+            self._active_streams,
         )
+        state = self._power_states.get(key)
+        if state is None:
+            state = PowerState(
+                occupancy=min(self.smx.thread_occupancy, 1.0),
+                dma_busy=key[1],
+                any_active=key[2],
+                active_streams=key[3],
+            )
+            self._power_states[key] = state
+        self.power.update(state)
 
     # -- global sync ---------------------------------------------------------
 

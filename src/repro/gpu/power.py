@@ -23,7 +23,7 @@ model; tests compare the sampled estimate against the exact integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import Environment
 from .specs import PowerSpec
@@ -31,7 +31,7 @@ from .specs import PowerSpec
 __all__ = ["PowerModel", "PowerState"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerState:
     """Inputs to the power formula at one instant."""
 
@@ -48,12 +48,30 @@ class PowerState:
 
 
 class PowerModel:
-    """Piecewise-constant instantaneous power with exact integration."""
+    """Piecewise-constant instantaneous power with exact integration.
+
+    Zero-duration transients: a power held for zero time closes no
+    segment, so it adds no energy and no entry to ``segments()``, but it
+    still counts toward ``peak_power``.  An A->B->A change within one
+    instant therefore leaves ``energy()`` as it was and raises
+    ``peak_power`` to B.  The first update of the instant does close the
+    running A segment, so ``segments()`` gains a split point at that
+    instant with A on both sides (unless A itself began at that instant):
+    the energy integral adds ``A*dt1 + A*dt2``, not ``A*(dt1 + dt2)``.
+    The device re-evaluates power on every activity change, not once per
+    instant; coalescing would change both the peak and those floats.
+
+    Bit-exact rule: :meth:`update` memoises :meth:`evaluate` per
+    :class:`PowerState` (the formula is a pure function of the state and
+    the frozen spec), so every watt value, and hence every energy
+    integral and peak, is the float a fresh evaluation would give.
+    """
 
     def __init__(self, env: Environment, spec: PowerSpec) -> None:
         self.env = env
         self.spec = spec
         self._segments: List[Tuple[float, float]] = []  # (start_time, watts)
+        self._evaluated: Dict[PowerState, float] = {}
         self._current_power: float = self.evaluate(
             PowerState(occupancy=0.0, dma_busy=0, any_active=False)
         )
@@ -87,10 +105,12 @@ class PowerModel:
 
     def update(self, state: PowerState) -> None:
         """Record a state change at the current simulated time."""
-        now = self.env.now
-        new_power = self.evaluate(state)
+        new_power = self._evaluated.get(state)
+        if new_power is None:
+            new_power = self._evaluated[state] = self.evaluate(state)
         if new_power == self._current_power:
             return
+        now = self.env._now
         dt = now - self._last_change
         if dt > 0:
             if self.retain_segments:
@@ -98,7 +118,8 @@ class PowerModel:
             self._energy_before += self._current_power * dt
         self._current_power = new_power
         self._last_change = now
-        self.peak_power = max(self.peak_power, new_power)
+        if new_power > self.peak_power:
+            self.peak_power = new_power
 
     # -- queries ---------------------------------------------------------------
 

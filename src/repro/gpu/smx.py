@@ -70,16 +70,16 @@ class SMXState:
                 f"{kernel.name}"
             )
         self.free_blocks -= nblocks
-        self.free_threads -= nblocks * kernel.threads_per_block
+        self.free_threads -= nblocks * kernel._threads_per_block
         self.free_shared_mem -= nblocks * kernel.shared_mem_per_block
-        self.free_registers -= nblocks * kernel.registers_per_block
+        self.free_registers -= nblocks * kernel._registers_per_block
 
     def give_back(self, kernel: KernelDescriptor, nblocks: int) -> None:
         """Release resources of ``nblocks`` retired blocks of ``kernel``."""
         self.free_blocks += nblocks
-        self.free_threads += nblocks * kernel.threads_per_block
+        self.free_threads += nblocks * kernel._threads_per_block
         self.free_shared_mem += nblocks * kernel.shared_mem_per_block
-        self.free_registers += nblocks * kernel.registers_per_block
+        self.free_registers += nblocks * kernel._registers_per_block
         if (
             self.free_blocks > self.spec.max_blocks
             or self.free_threads > self.spec.max_threads

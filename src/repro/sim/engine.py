@@ -11,7 +11,7 @@ scheduling order.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Iterable, List, Optional, Tuple
 
@@ -185,9 +185,7 @@ class Environment:
         """Insert ``event`` into the calendar ``delay`` units from now."""
         if delay < 0:
             raise ScheduleError(f"negative delay {delay!r}")
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._eid), event)
-        )
+        heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
     def step(self) -> None:
         """Process the single next event in the calendar.
@@ -198,7 +196,7 @@ class Environment:
             If the calendar is empty.
         """
         try:
-            self._now, _, _, event = heapq.heappop(self._queue)
+            self._now, _, _, event = heappop(self._queue)
         except IndexError:
             raise EventError("no scheduled events left") from None
         self._events_processed = popped = self._events_processed + 1
@@ -215,7 +213,7 @@ class Environment:
         for callback in callbacks:
             callback(event)
 
-        if not event._ok and not event.defused:
+        if not event._ok and not event._defused:
             # A failed event that nobody handled: surface the error rather
             # than silently dropping it.
             exc = event._value
@@ -257,12 +255,13 @@ class Environment:
                 stop._value = None
                 # Schedule with the lowest possible priority value so the
                 # horizon fires before same-time model events.
-                heapq.heappush(self._queue, (at, -1, next(self._eid), stop))
+                heappush(self._queue, (at, -1, next(self._eid), stop))
                 stop.callbacks.append(self._stop_callback)
 
+        queue, step = self._queue, self.step
         try:
-            while self._queue:
-                self.step()
+            while queue:
+                step()
         except StopSimulation as stop_exc:
             return stop_exc.value
 

@@ -27,9 +27,10 @@ detected as errors.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
-from .errors import EventError
+from .errors import EventError, ScheduleError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Environment
@@ -117,11 +118,13 @@ class Event:
         Returns the event itself so that factory helpers can do
         ``return Event(env).succeed(v)``.
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise EventError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
+        # The calendar entry Environment.schedule would push for delay 0.
+        env = self.env
+        heappush(env._queue, (env._now, priority, next(env._eid), self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -132,7 +135,7 @@ class Event:
         of the step to avoid silently losing errors (unless
         :meth:`defused` was set).
         """
-        if self.triggered:
+        if self._value is not PENDING:
             raise EventError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
@@ -181,14 +184,16 @@ class Timeout(Event):
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
-            from .errors import ScheduleError
-
             raise ScheduleError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self._delay = float(delay)
+        # Event.__init__ and Environment.schedule, inlined: timeouts are
+        # the most common event of all.
+        self.env = env
+        self.callbacks = []
         self._ok = True
+        self._defused = False
         self._value = value
-        env.schedule(self, delay=self._delay)
+        self._delay = delay = float(delay)
+        heappush(env._queue, (env._now + delay, NORMAL, next(env._eid), self))
 
     @property
     def delay(self) -> float:

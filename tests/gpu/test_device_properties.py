@@ -6,12 +6,14 @@ copies never overlap within a direction, kernels never exceed the device's
 resident-thread capacity, and the device returns to idle power.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gpu.commands import CopyDirection
 from repro.gpu.device import GPUDevice
 from repro.gpu.kernels import Dim3, KernelDescriptor
+from repro.gpu.power import PowerModel, PowerState
 from repro.sim.engine import Environment
 from repro.sim.trace import TraceRecorder
 
@@ -91,3 +93,96 @@ def test_device_invariants(workload):
         energy = device.power.energy()
         assert energy >= device.spec.power.idle * env.now - 1e-9
         assert energy <= device.spec.power.tdp * env.now + 1e-9
+
+
+# -- memoised power path ------------------------------------------------------
+
+# One power input: (delay before it, resident-thread eighths of capacity,
+# HtoD busy, DtoH busy, commands in flight, active streams).  Few distinct
+# values and zero delays, so inputs repeat and same-instant changes occur.
+power_inputs = st.tuples(
+    st.sampled_from([0.0, 0.0, 1e-6, 2.5e-6, 1e-3]),
+    st.integers(min_value=0, max_value=8),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=4),
+)
+
+
+class FreshEvaluation:
+    """The power integral, re-deriving ``evaluate(PowerState(...))`` on
+    every change: the reference the memoised device path must equal."""
+
+    def __init__(self, env, spec):
+        self.env = env
+        self.formula = PowerModel(env, spec)
+        self.current = self.formula.evaluate(
+            PowerState(occupancy=0.0, dma_busy=0, any_active=False)
+        )
+        self.peak = self.current
+        self.last_change = env.now
+        self.closed = []
+        self.energy_before = 0.0
+
+    def update(self, **inputs):
+        watts = self.formula.evaluate(PowerState(**inputs))
+        if watts == self.current:
+            return
+        dt = self.env.now - self.last_change
+        if dt > 0:
+            self.closed.append((self.last_change, self.current))
+            self.energy_before += self.current * dt
+        self.current, self.last_change = watts, self.env.now
+        self.peak = max(self.peak, watts)
+
+    def energy(self):
+        return self.energy_before + self.current * (self.env.now - self.last_change)
+
+    def segments(self):
+        return self.closed + [(self.last_change, self.current)]
+
+
+def set_power_inputs(device, eighths, htod, dtoh, inflight, streams):
+    capacity = device.spec.num_smx * device.spec.smx.max_threads
+    device.smx._resident_threads = eighths * capacity // 8
+    device.dma[CopyDirection.HTOD].busy = htod
+    device.dma[CopyDirection.DTOH].busy = dtoh
+    device._inflight = inflight
+    device._active_streams = streams
+    return dict(
+        occupancy=min(device.smx.thread_occupancy, 1.0),
+        dma_busy=int(htod) + int(dtoh),
+        any_active=inflight > 0,
+        active_streams=streams,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(power_inputs, min_size=1, max_size=60))
+def test_memoised_power_path_is_bit_exact(sequence):
+    env = Environment()
+    device = GPUDevice(env)
+    reference = FreshEvaluation(env, device.spec.power)
+
+    def feed():
+        for delay, *inputs in sequence:
+            yield env.timeout(delay)
+            state = set_power_inputs(device, *inputs)
+            device._power_changed()
+            reference.update(**state)
+        yield env.timeout(1e-3)
+
+    env.process(feed())
+    env.run()
+    power = device.power
+    assert power.energy() == reference.energy()
+    assert power.peak_power == reference.peak
+    assert power.segments() == reference.segments()
+
+    # An invalid input is never memoised: it raises every time, even
+    # after valid keys are cached.
+    device._active_streams = -1
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            device._power_changed()

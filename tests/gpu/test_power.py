@@ -130,3 +130,55 @@ class TestIntegration:
         before = len(model.segments())
         model.update(idle_state())  # same power as initial
         assert len(model.segments()) == before
+
+
+
+class TestZeroDurationTransients:
+    """The pinned rule (see the PowerModel docstring): a power held for
+    zero time adds no energy and no segment of its own, yet counts toward
+    ``peak_power``."""
+
+    def test_same_instant_a_b_a(self):
+        env = Environment()
+        model = PowerModel(env, PowerSpec())
+        a, b = busy_state(0.25), busy_state(1.0, dma=2)
+        watts_a, watts_b = model.evaluate(a), model.evaluate(b)
+        seen = {}
+
+        def transient():
+            yield env.timeout(1.0)
+            model.update(a)
+            yield env.timeout(1.0)
+            seen["energy"], seen["segments"] = model.energy(), model.segments()
+            model.update(b)
+            model.update(a)
+            seen["energy after"] = model.energy()
+            seen["segments after"] = model.segments()
+            yield env.timeout(1.0)
+
+        env.process(transient())
+        env.run()
+        assert watts_a < watts_b
+        assert model.peak_power == watts_b
+        assert seen["energy after"] == seen["energy"]
+        # B leaves no segment.  The running A segment is closed at the
+        # transient and reopened, so the list records one split point
+        # inside it, with the same power on both sides: power over time is
+        # unchanged.  Merging the two would integrate A*(dt1+dt2) instead
+        # of A*dt1 + A*dt2, a different float.
+        assert seen["segments"] == [(0.0, PowerSpec().idle), (1.0, watts_a)]
+        assert seen["segments after"] == seen["segments"] + [(2.0, watts_a)]
+        assert all(watts != watts_b for _, watts in model.segments())
+        assert model.energy(until=2.0) == seen["energy"]
+
+    def test_transient_at_the_start_of_a_segment_leaves_no_trace(self):
+        env = Environment()
+        model = PowerModel(env, PowerSpec())
+        a, b = busy_state(0.25), busy_state(1.0, dma=2)
+        model.update(a)
+        segments, energy = model.segments(), model.energy()
+        model.update(b)
+        model.update(a)
+        assert model.segments() == segments
+        assert model.energy() == energy
+        assert model.peak_power == model.evaluate(b)

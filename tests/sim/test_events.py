@@ -80,6 +80,48 @@ class TestTimeout:
         assert Timeout(env, 2.5).delay == 2.5
 
 
+class TestDirectCalendarPushes:
+    """``Event.succeed`` and ``Timeout`` push their calendar entry without
+    going through ``Environment.schedule``; its checks must still hold.
+    (Negative ``env.schedule`` delays: ``tests/sim/test_engine.py``.)"""
+
+    def test_rejected_timeout_pushes_nothing(self, env):
+        with pytest.raises(ScheduleError):
+            Timeout(env, -1)
+        assert env.queue_size == 0
+
+    @pytest.mark.parametrize("second", ["succeed", "fail"])
+    def test_failed_event_cannot_be_triggered_again(self, env, second):
+        evt = Event(env).fail(RuntimeError("first"))
+        evt.defuse()
+        with pytest.raises(EventError):
+            if second == "succeed":
+                evt.succeed()
+            else:
+                evt.fail(RuntimeError("second"))
+        assert env.queue_size == 1
+
+    def test_timeout_cannot_be_triggered_again(self, env):
+        evt = Timeout(env, 1.0)
+        with pytest.raises(EventError):
+            evt.succeed()
+        assert env.queue_size == 1
+
+    def test_same_time_ties_keep_push_order_across_entry_points(self, env):
+        order = []
+        scheduled = Event(env)
+        scheduled._ok, scheduled._value = True, None
+        env.schedule(scheduled)
+        succeeded = Event(env).succeed()
+        timeout = Timeout(env, 0)
+        for name, evt in (
+            ("scheduled", scheduled), ("succeeded", succeeded), ("timeout", timeout)
+        ):
+            evt.callbacks.append(lambda _e, n=name: order.append(n))
+        env.run()
+        assert order == ["scheduled", "succeeded", "timeout"]
+
+
 class TestConditions:
     def test_all_of_waits_for_everything(self, env):
         t1 = env.timeout(1, value="a")
