@@ -50,13 +50,10 @@ import numpy as np
 from ..apps.registry import get_app_class
 from ..framework.app_thread import AppThread
 from ..framework.metrics import AppRecord
-from ..framework.power_monitor import PowerMonitor
-from ..framework.stream_manager import StreamManager
-from ..framework.sync import make_synchronizer
-from ..gpu.device import GPUDevice
+from ..framework.world import DeviceWorld, run_parent, start_crash
 from ..gpu.specs import DeviceSpec, tesla_k20
 from ..sim.engine import Environment
-from ..sim.errors import FaultError, HarnessCrash
+from ..sim.errors import FaultError
 from ..sim.events import AllOf, Event
 from .workload import SCALES, resolve_scale
 
@@ -419,17 +416,15 @@ def run_streaming(
     scale_name = resolve_scale(scale)
     spec = spec or tesla_k20()
     env = Environment()
-    injector = None
-    plan = hooks.fault_plan
-    if plan is not None and len(plan):
-        from ..resilience import FaultInjector
-
-        injector = FaultInjector(env, plan)
-        env.attach_fault_injector(injector)
-    device = GPUDevice(env, spec=spec, injector=injector)
-    manager = StreamManager(env, device, num_streams)
-    synchronizer = make_synchronizer(env, memory_sync)
-    monitor = PowerMonitor(env, device, interval=power_interval, injector=injector)
+    world = DeviceWorld(
+        env,
+        spec=spec,
+        num_streams=num_streams,
+        memory_sync=memory_sync,
+        power_interval=power_interval,
+        plan=hooks.fault_plan,
+    )
+    device, manager, monitor = world.gpu, world.manager, world.monitor
     if not hooks.retain_records:
         # Bounded-memory mode: drop the O(simulated-time) power history.
         # The exact running energy integral and the monitor's aggregate
@@ -480,18 +475,9 @@ def run_streaming(
     sojourn_hist = None
     goodput_counter = None
     if telemetry is not None:
-        from ..telemetry.probes import (
-            instrument_device,
-            instrument_environment,
-            instrument_injector,
-            instrument_records,
-        )
+        from ..telemetry.probes import instrument_run
 
-        telemetry.attach(env)
-        instrument_environment(telemetry, env)
-        instrument_device(telemetry, device)
-        instrument_records(telemetry, records)
-        instrument_injector(telemetry, injector)
+        instrument_run(telemetry, env, records, [world])
         admission_depth = telemetry.gauge(
             "repro_serving_admission_queue_depth",
             "Jobs prepared and waiting for admission",
@@ -521,15 +507,12 @@ def run_streaming(
 
     instance_counters: Dict[str, int] = {}
 
-    def make_thread(arrival: Arrival) -> AppThread:
-        count = instance_counters.get(arrival.type_name, 0)
-        instance_counters[arrival.type_name] = count + 1
-        kwargs = SCALES[scale_name].get(arrival.type_name, {})
-        app = get_app_class(arrival.type_name).create(instance=count, **kwargs)
+    def arrival_record(arrival: Arrival, app_id: str, instance: int) -> AppRecord:
+        """The record of one arrival, stamped with its SLO deadline and tenant."""
         record = AppRecord(
-            app_id=app.app_id,
+            app_id=app_id,
             type_name=arrival.type_name,
-            instance=count,
+            instance=instance,
             stream_index=-1,
             launch_index=arrival.index,
         )
@@ -540,8 +523,16 @@ def run_streaming(
         if arrival.tenant:
             record.tenant = arrival.tenant
             record.tenant_id = arrival.tenant_id
+        return record
+
+    def make_thread(arrival: Arrival) -> AppThread:
+        count = instance_counters.get(arrival.type_name, 0)
+        instance_counters[arrival.type_name] = count + 1
+        kwargs = SCALES[scale_name].get(arrival.type_name, {})
+        app = get_app_class(arrival.type_name).create(instance=count, **kwargs)
+        record = arrival_record(arrival, app.app_id, count)
         records.append(record)
-        return AppThread(env, device, app, synchronizer, record)
+        return AppThread(env, device, app, world.synchronizer, record)
 
     def poke() -> None:
         evt = admit_poke["event"]
@@ -641,14 +632,7 @@ def run_streaming(
         # arrivals, then join the admission queue.
         thread = make_thread(arrival)
         if tracer is not None:
-            ctx = tracer.start_trace(
-                thread.record.app_id,
-                arrival.time,
-                type=arrival.type_name,
-                index=arrival.index,
-            )
-            thread.trace_ctx = ctx
-            trace_ctxs[arrival.index] = ctx
+            thread.open_trace(tracer, arrival.time, trace_ctxs)
         yield from thread.prepare()
         # With front-door shedding the bound was already enforced at the
         # source (over preparing + ready), so the ready-only check is off.
@@ -678,20 +662,9 @@ def run_streaming(
         ready-queue churn — just a terminal record, so a run drowning in
         traffic costs microseconds per excess arrival.
         """
-        record = AppRecord(
-            app_id=f"{arrival.type_name}#fd{arrival.index}",
-            type_name=arrival.type_name,
-            instance=-1,
-            stream_index=-1,
-            launch_index=arrival.index,
+        record = arrival_record(
+            arrival, f"{arrival.type_name}#fd{arrival.index}", -1
         )
-        if deadlines is not None:
-            record.slo_deadline = deadlines[arrival.index]
-        elif arrival.deadline > 0.0:
-            record.slo_deadline = arrival.deadline
-        if arrival.tenant:
-            record.tenant = arrival.tenant
-            record.tenant_id = arrival.tenant_id
         if hooks.retain_records:
             records.append(record)
         shed(record, "shed-reject", arrival.time)
@@ -817,20 +790,12 @@ def run_streaming(
             telemetry.stop()
 
     if hooks.crash_at is not None:
-
-        def crash_body():
-            yield env.timeout(hooks.crash_at)
-            raise HarnessCrash(env.now)
-
-        env.process(crash_body(), name="harness-crash")
-
+        start_crash(env, hooks.crash_at, "harness-crash")
     monitor.start()
     if telemetry is not None:
         telemetry.start()
     env.process(source(), name="arrival-source")
-    done = env.process(admitter(), name="admitter")
-    env.run(until=done)
-    env.run()
+    run_parent(env, admitter(), "admitter")
     if telemetry is not None:
         telemetry.finalize()
 

@@ -28,8 +28,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..framework.app_thread import close_traces
 from ..framework.kernel import KernelApp
 from ..framework.metrics import AppRecord, makespan
+from ..framework.world import run_parent
 from ..gpu.specs import DeviceSpec
 from ..resilience.budget import RetryBudget, unfinishable
 from ..resilience.degradation import ConcurrencyLimiter
@@ -155,12 +157,6 @@ class FleetResult:
     def reexecuted_kernels(self) -> int:
         """Total kernels re-run because they were in flight at a loss."""
         return sum(r.reexecuted_kernels for r in self.records)
-
-    def duplicate_ratio(self, total_kernels: int) -> float:
-        """Duplicated kernels as a fraction of ``total_kernels``."""
-        if total_kernels <= 0:
-            return 0.0
-        return self.duplicate_kernels / total_kernels
 
     @property
     def devices_lost(self) -> int:
@@ -491,22 +487,18 @@ class FleetHarness:
         telemetry = self.telemetry
         if telemetry is not None:
             from ..telemetry.probes import (
-                instrument_environment,
                 instrument_failover,
-                instrument_fleet_device,
+                instrument_fleet_health,
                 instrument_health_monitor,
                 instrument_hedging,
                 instrument_integrity,
-                instrument_records,
+                instrument_run,
             )
 
-            telemetry.attach(env)
-            instrument_environment(telemetry, env)
-            for fdev in registry:
-                instrument_fleet_device(telemetry, fdev)
+            instrument_run(telemetry, env, records, registry)
+            instrument_fleet_health(telemetry, registry)
             instrument_health_monitor(telemetry, monitor)
             instrument_failover(telemetry, coordinator)
-            instrument_records(telemetry, records)
             instrument_integrity(telemetry, None, fence=fence, journal=journal)
             if hedges is not None:
                 instrument_hedging(telemetry, hedges, detector)
@@ -760,15 +752,9 @@ class FleetHarness:
         def parent():
             threads: List[FleetAppThread] = []
             for launch_index, app in enumerate(self.apps):
-                record = AppRecord(
-                    app_id=app.app_id,
-                    type_name=app.profile.name,
-                    instance=app.instance,
-                    stream_index=-1,
-                    launch_index=launch_index,
+                record = AppRecord.for_app(
+                    app, launch_index, deadline_of.get(app.app_id, 0.0)
                 )
-                if app.app_id in deadline_of:
-                    record.slo_deadline = deadline_of[app.app_id]
                 records.append(record)
                 thread = FleetAppThread(
                     env, app, record,
@@ -780,11 +766,7 @@ class FleetHarness:
                 bind(thread, fdev)
                 threads.append(thread)
                 if tracer is not None:
-                    thread.trace_ctx = tracer.start_trace(
-                        record.app_id, env.now,
-                        type=record.type_name, index=launch_index,
-                    )
-                    trace_ctxs[launch_index] = thread.trace_ctx
+                    thread.open_trace(tracer, env.now, trace_ctxs)
                 yield from thread.prepare()
 
             registry.start()
@@ -824,21 +806,16 @@ class FleetHarness:
             if hedges is not None:
                 yield from hedges.cleanup_replicas()
 
-        def crash_body():
-            yield env.timeout(crash_at)
-            raise HarnessCrash(env.now)
-
-        done = env.process(parent(), name="fleet-parent")
-        if crash_at is not None:
-            env.process(crash_body(), name="fleet-crash")
         try:
-            env.run(until=done)
+            run_parent(
+                env, parent(), "fleet-parent",
+                crash_at=crash_at, crash_name="fleet-crash",
+            )
         except HarnessCrash as crash:
             if journal is not None:
                 journal.mark_crash(crash.time)
                 journal.close()
             raise
-        env.run()  # settle same-time trailing events
         if telemetry is not None:
             telemetry.finalize()
 
@@ -852,12 +829,7 @@ class FleetHarness:
             journal.close()
 
         if tracer is not None:
-            for record in records:
-                ctx = trace_ctxs.get(record.launch_index)
-                if ctx is not None:
-                    tracer.end_trace(
-                        ctx, record.complete_time, outcome=record.outcome
-                    )
+            close_traces(tracer, trace_ctxs, records)
             if hedges is not None:
                 self._trace_hedges(tracer, trace_ctxs, records, hedges)
 

@@ -1,12 +1,13 @@
 """The fleet's device registry: N simulated GPUs with health state.
 
-Each :class:`FleetDevice` bundles one :class:`~repro.gpu.device.GPUDevice`
-with its own stream pool, transfer synchronizer, power monitor and fault
-injector (fed the per-device slice of the run's fault plan).  The registry
-owns ground-truth liveness: a ``DEVICE_LOSS`` spec spawns a tiny process
-that marks the device lost at the planned instant and notifies the failover
-coordinator — *detection* (and therefore migration) happens later, when the
-health monitor's missed-heartbeat budget runs out.
+Each :class:`FleetDevice` is one :class:`~repro.framework.world.DeviceWorld`
+(a GPU with its own stream pool, transfer synchronizer, power monitor and
+fault injector, fed the per-device slice of the run's fault plan) plus
+health state.  The registry owns ground-truth liveness: a ``DEVICE_LOSS``
+spec spawns a tiny process that marks the device lost at the planned
+instant and notifies the failover coordinator — *detection* (and therefore
+migration) happens later, when the health monitor's missed-heartbeat
+budget runs out.
 
 A lost device is never torn down mid-run: commands already on its queues
 may keep retiring in the simulation, but their completions are ignored by
@@ -19,12 +20,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
-from ..framework.power_monitor import PowerMonitor
-from ..framework.stream_manager import StreamManager
-from ..framework.sync import make_synchronizer
-from ..gpu.device import GPUDevice
+from ..framework.world import DeviceWorld
 from ..gpu.specs import DeviceSpec, tesla_k20
-from ..resilience.faults import GRAY_KINDS, FaultInjector, FaultPlan
+from ..resilience.faults import GRAY_KINDS, FaultPlan
 from .config import FleetConfig
 from .topology import FleetTopology
 
@@ -45,38 +43,13 @@ class DeviceState(str, Enum):
         return self.value
 
 
-class FleetDevice:
-    """One registry slot: a GPU plus its per-device serving machinery."""
+class FleetDevice(DeviceWorld):
+    """One registry slot: a device world plus its health state."""
 
     def __init__(
-        self,
-        env: "Environment",
-        index: int,
-        spec: DeviceSpec,
-        num_streams: int,
-        memory_sync: bool,
-        copy_policy: str,
-        power_interval: float,
-        plan: FaultPlan,
-        trace=None,
+        self, env: "Environment", index: int, plan: FaultPlan, **world
     ) -> None:
-        self.env = env
-        self.index = index
-        self.injector: Optional[FaultInjector] = None
-        if not plan.empty:
-            self.injector = FaultInjector(env, plan, trace=trace)
-        self.gpu = GPUDevice(
-            env,
-            spec=spec,
-            trace=trace,
-            copy_policy=copy_policy,
-            injector=self.injector,
-        )
-        self.manager = StreamManager(env, self.gpu, num_streams)
-        self.synchronizer = make_synchronizer(env, memory_sync)
-        self.monitor = PowerMonitor(
-            env, self.gpu, interval=power_interval, injector=self.injector
-        )
+        super().__init__(env, plan=plan, index=index, **world)
         self.state = DeviceState.HEALTHY
         self.loss_time: Optional[float] = None
         self.detected_time: Optional[float] = None
@@ -124,9 +97,7 @@ class FleetDevice:
         """Exact energy over ``[t0, t1]``, cut off at the loss instant."""
         if self.loss_time is not None:
             t1 = min(t1, self.loss_time)
-        if t1 <= t0:
-            return 0.0
-        return self.gpu.power.energy(t1) - self.gpu.power.energy(t0)
+        return super().energy_between(t0, t1)
 
 
 class DeviceRegistry:
@@ -161,12 +132,12 @@ class DeviceRegistry:
             FleetDevice(
                 env,
                 index,
-                spec,
-                num_streams,
-                memory_sync,
-                copy_policy,
-                power_interval,
                 self.plan.for_device(index),
+                spec=spec,
+                num_streams=num_streams,
+                memory_sync=memory_sync,
+                copy_policy=copy_policy,
+                power_interval=power_interval,
                 trace=trace,
             )
             for index in range(fleet.num_devices)

@@ -17,6 +17,8 @@ the same architecture over the simulated device:
   (re-exported here).
 * :class:`~repro.framework.power_monitor.PowerMonitor` — NVML-style power
   sampling.
+* :class:`~repro.framework.world.DeviceWorld` — builds one device with its
+  stream pool, transfer mutex, power monitor and fault injector.
 * :class:`~repro.framework.harness.TestHarness` — runs one configured
   schedule end to end and measures everything.
 """
@@ -46,7 +48,7 @@ from .metrics import (
 from .power_monitor import DEFAULT_INTERVAL, PowerMonitor, PowerSample
 from ..scheduling.orders import SchedulingOrder, all_orders, make_schedule, schedule_signature
 from .stream import Stream
-from .stream_manager import ASSIGNMENT_POLICIES, StreamManager
+from .stream_manager import StreamManager
 from .sync import NullSynchronizer, TransferSynchronizer, make_synchronizer
 
 __all__ = [
@@ -61,7 +63,6 @@ __all__ = [
     "TABLE_II",
     "Stream",
     "StreamManager",
-    "ASSIGNMENT_POLICIES",
     "TransferSynchronizer",
     "NullSynchronizer",
     "make_synchronizer",

@@ -49,7 +49,7 @@ from .stream import Stream
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Environment
 
-__all__ = ["AppContext", "AppThread"]
+__all__ = ["AppContext", "AppThread", "close_traces"]
 
 
 @dataclass
@@ -150,6 +150,13 @@ class AppThread:
             stream=None,
             host_spec=device.spec.host if device is not None else None,
             app_id=app.app_id,
+        )
+
+    def open_trace(self, tracer, at: float, trace_ctxs: Dict[int, object]) -> None:
+        """Start this app's root causal trace at ``at``, keyed by launch index."""
+        record = self.record
+        self.trace_ctx = trace_ctxs[record.launch_index] = tracer.start_trace(
+            record.app_id, at, type=record.type_name, index=record.launch_index
         )
 
     # -- parent-thread phases ---------------------------------------------------
@@ -411,3 +418,11 @@ class AppThread:
                     )
                 if ev.completed > ev.started:
                     leaf(ctx, ev.name, "smx-exec", ev.started, ev.completed)
+
+
+def close_traces(tracer, trace_ctxs: Dict[int, object], records) -> None:
+    """End each record's root trace at its completion, with its outcome."""
+    for record in records:
+        ctx = trace_ctxs.get(record.launch_index)
+        if ctx is not None:
+            tracer.end_trace(ctx, record.complete_time, outcome=record.outcome)

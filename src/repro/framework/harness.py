@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gpu.device import GPUDevice
 from ..gpu.specs import DeviceSpec, tesla_k20
 from ..resilience import (
     AppSupervisor,
@@ -34,12 +33,11 @@ from ..resilience import (
 from ..sim.engine import Environment
 from ..sim.events import AllOf
 from ..sim.trace import TraceRecorder
-from .app_thread import AppThread
+from .app_thread import AppThread, close_traces
 from .kernel import KernelApp
 from .metrics import AppRecord, average_effective_latency, makespan
-from .power_monitor import DEFAULT_INTERVAL, PowerMonitor
-from .stream_manager import StreamManager
-from .sync import make_synchronizer
+from .power_monitor import DEFAULT_INTERVAL
+from .world import DeviceWorld, run_parent
 
 __all__ = ["HarnessConfig", "HarnessResult", "TestHarness"]
 
@@ -97,7 +95,6 @@ class HarnessConfig:
     monitor_power: bool = True
     spawn_jitter: float = 0.0
     seed: int = 0
-    stream_policy: str = "round-robin"
     #: Optional grid-engine admission hook (symbiosis baseline); None = LEFTOVER.
     admission: object = None
     resilience: Optional[ResilienceConfig] = None
@@ -196,20 +193,30 @@ class TestHarness:
         env = Environment()
         trace = TraceRecorder() if cfg.record_trace else None
         resil = cfg.resilience
-        injector: Optional[FaultInjector] = None
-        hot_injector: Optional[FaultInjector] = None
+        world = DeviceWorld(
+            env,
+            spec=cfg.spec,
+            num_streams=cfg.num_streams,
+            memory_sync=cfg.memory_sync,
+            copy_policy=cfg.copy_policy,
+            power_interval=cfg.power_interval,
+            plan=resil.plan if resil is not None else None,
+            trace=trace,
+            admission=cfg.admission,
+        )
+        device, manager, monitor = world.gpu, world.manager, world.monitor
+        injector: Optional[FaultInjector] = world.injector
+        # Built for an empty plan only: it serves the retry and deadline
+        # trace marks while the engines stay on their fault-free paths.
+        spare_injector: Optional[FaultInjector] = None
         watchdog: Optional[Watchdog] = None
         limiter: Optional[ConcurrencyLimiter] = None
         controller: Optional[DegradationController] = None
         if resil is not None:
-            injector = FaultInjector(env, resil.plan, trace=trace)
-            # Only an actual fault plan warrants paying the per-event /
-            # per-command hook costs; with an empty plan the engines stay
-            # on their original code paths (the injector still serves
-            # retry/deadline trace marks).
-            if not injector.plan.empty:
-                hot_injector = injector
-                env.attach_fault_injector(injector)
+            if injector is None:
+                injector = spare_injector = FaultInjector(
+                    env, resil.plan, trace=trace
+                )
             if resil.wants_deadlines:
                 watchdog = Watchdog(env)
             if resil.degradation_threshold > 0:
@@ -217,21 +224,6 @@ class TestHarness:
                 controller = DegradationController(
                     limiter, resil.degradation_threshold, injector
                 )
-        device = GPUDevice(
-            env,
-            spec=cfg.spec,
-            trace=trace,
-            copy_policy=cfg.copy_policy,
-            admission=cfg.admission,
-            injector=hot_injector,
-        )
-        manager = StreamManager(
-            env, device, cfg.num_streams, policy=cfg.stream_policy
-        )
-        synchronizer = make_synchronizer(env, cfg.memory_sync)
-        monitor = PowerMonitor(
-            env, device, interval=cfg.power_interval, injector=hot_injector
-        )
         records: List[AppRecord] = []
         rng = np.random.default_rng(cfg.seed)
 
@@ -253,19 +245,11 @@ class TestHarness:
 
         telemetry = cfg.telemetry
         if telemetry is not None:
-            from ..telemetry.probes import (
-                instrument_device,
-                instrument_environment,
-                instrument_injector,
-                instrument_integrity,
-                instrument_records,
-            )
+            from ..telemetry.probes import instrument_integrity, instrument_run
 
-            telemetry.attach(env)
-            instrument_environment(telemetry, env)
-            instrument_device(telemetry, device)
-            instrument_records(telemetry, records)
-            instrument_injector(telemetry, injector)
+            instrument_run(
+                telemetry, env, records, [world], injector=spare_injector
+            )
             instrument_integrity(telemetry, integrity)
 
         #: launch_index -> root SpanContext for every traced app.
@@ -276,22 +260,12 @@ class TestHarness:
             # application on the parent thread, sequentially, up front.
             threads = []
             for launch_index, app in enumerate(cfg.apps):
-                record = AppRecord(
-                    app_id=app.app_id,
-                    type_name=app.profile.name,
-                    instance=app.instance,
-                    stream_index=-1,
-                    launch_index=launch_index,
-                )
+                record = AppRecord.for_app(app, launch_index)
                 records.append(record)
-                thread = AppThread(env, device, app, synchronizer, record)
+                thread = AppThread(env, device, app, world.synchronizer, record)
                 threads.append(thread)
                 if tracer is not None:
-                    thread.trace_ctx = tracer.start_trace(
-                        record.app_id, env.now,
-                        type=record.type_name, index=launch_index,
-                    )
-                    trace_ctxs[launch_index] = thread.trace_ctx
+                    thread.open_trace(tracer, env.now, trace_ctxs)
                 yield from thread.prepare()
 
             # Then start the power-monitor thread and launch each
@@ -354,10 +328,7 @@ class TestHarness:
                 yield from thread.cleanup()
             manager.destroy_all()
 
-        done = env.process(parent(), name="harness-parent")
-        env.run(until=done)
-        # Let any same-time trailing events (power segment closes) settle.
-        env.run()
+        run_parent(env, parent(), "harness-parent")
         if integrity is not None:
             # Closing pass so short runs are checked at least once even if
             # they never crossed a stride boundary.
@@ -378,16 +349,12 @@ class TestHarness:
             record.outcome = "failed" if record.failed else "completed"
             record.order_policy = cfg.order_label
             record.memory_sync = cfg.memory_sync
-            if tracer is not None:
-                ctx = trace_ctxs.get(record.launch_index)
-                if ctx is not None:
-                    tracer.end_trace(
-                        ctx, record.complete_time, outcome=record.outcome
-                    )
+        if tracer is not None:
+            close_traces(tracer, trace_ctxs, records)
         span = makespan(records)
         t0 = min(r.spawn_time for r in records)
         t1 = max(r.complete_time for r in records)
-        energy = device.power.energy(t1) - device.power.energy(t0)
+        energy = world.energy_between(t0, t1)
         summary: Optional[ResilienceSummary] = None
         if resil is not None:
             summary = ResilienceSummary(

@@ -114,6 +114,20 @@ class AppRecord:
     order_policy: str = ""       # launch-order policy the run used
     memory_sync: bool = False    # whether the HtoD transfer mutex was on
 
+    @classmethod
+    def for_app(
+        cls, app, launch_index: int, slo_deadline: float = 0.0
+    ) -> "AppRecord":
+        """The unassigned record of ``app`` at ``launch_index``."""
+        return cls(
+            app_id=app.app_id,
+            type_name=app.profile.name,
+            instance=app.instance,
+            stream_index=-1,
+            launch_index=launch_index,
+            slo_deadline=slo_deadline,
+        )
+
     @property
     def wall_time(self) -> float:
         """GPU-section duration of this instance."""

@@ -8,9 +8,6 @@ order* — the application launched first gets stream 0, the second stream 1,
 and so on, wrapping when NA > NS.  Because launch order is exactly what the
 scheduling policies of Section III-C permute, the assignment ties the
 schedule to the hardware queues the paper reasons about.
-
-An alternative ``"least-loaded"`` policy (fewest assignments so far, ties by
-index) is provided for ablations.
 """
 
 from __future__ import annotations
@@ -23,9 +20,7 @@ from .stream import Stream
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Environment
 
-__all__ = ["StreamManager", "ASSIGNMENT_POLICIES"]
-
-ASSIGNMENT_POLICIES = ("round-robin", "least-loaded")
+__all__ = ["StreamManager"]
 
 
 class StreamManager:
@@ -38,49 +33,23 @@ class StreamManager:
     num_streams:
         NS — the paper sweeps this from 1 (serialized) to 32 (fully
         parallel, one Hyper-Q queue per stream).
-    policy:
-        Assignment policy (see module docstring).
     """
 
     def __init__(
-        self,
-        env: "Environment",
-        device: GPUDevice,
-        num_streams: int,
-        policy: str = "round-robin",
+        self, env: "Environment", device: GPUDevice, num_streams: int
     ) -> None:
         if num_streams < 1:
             raise ValueError("need at least one stream")
-        if policy not in ASSIGNMENT_POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; expected one of {ASSIGNMENT_POLICIES}"
-            )
         self.env = env
         self.device = device
-        self.policy = policy
         self.streams: List[Stream] = [
             Stream(env, device.create_stream(), i) for i in range(num_streams)
         ]
         self._assignments: Dict[int, int] = {s.index: 0 for s in self.streams}
         self._next = 0
 
-    @classmethod
-    def from_decision(
-        cls,
-        env: "Environment",
-        device: GPUDevice,
-        decision,
-        policy: str = "round-robin",
-    ) -> "StreamManager":
-        """Build a pool sized by a scheduler decision.
-
-        ``decision`` is a :class:`repro.scheduling.SchedulingDecision`; its
-        ``num_streams`` (the granted concurrency width) becomes NS.
-        """
-        return cls(env, device, decision.num_streams, policy=policy)
-
     def __repr__(self) -> str:
-        return f"<StreamManager {len(self.streams)} streams ({self.policy})>"
+        return f"<StreamManager {len(self.streams)} streams>"
 
     @property
     def num_streams(self) -> int:
@@ -91,13 +60,8 @@ class StreamManager:
 
     def acquire(self, app_id: str) -> Stream:
         """Assign a stream to an application (called once per app thread)."""
-        if self.policy == "round-robin":
-            stream = self.streams[self._next % len(self.streams)]
-            self._next += 1
-        else:  # least-loaded
-            stream = min(
-                self.streams, key=lambda s: (self._assignments[s.index], s.index)
-            )
+        stream = self.streams[self._next % len(self.streams)]
+        self._next += 1
         self._assignments[stream.index] += 1
         return stream
 

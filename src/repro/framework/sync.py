@@ -114,14 +114,6 @@ class NullSynchronizer:
         self.total_holds += 1
 
 
-def make_synchronizer(env: "Environment", enabled: bool, decision=None):
-    """Factory: the paper's mutex when ``enabled``, else the null variant.
-
-    ``decision`` may be a :class:`repro.scheduling.SchedulingDecision`; its
-    ``memory_sync`` field then overrides ``enabled``, so the adaptive
-    scheduler's per-batch sync choice flows through without every caller
-    learning a new signature.
-    """
-    if decision is not None:
-        enabled = bool(decision.memory_sync)
+def make_synchronizer(env: "Environment", enabled: bool):
+    """Factory: the paper's mutex when ``enabled``, else the null variant."""
     return TransferSynchronizer(env) if enabled else NullSynchronizer(env)

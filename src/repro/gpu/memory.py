@@ -135,11 +135,6 @@ class MemoryAllocator:
         """Largest single allocatable extent."""
         return max((size for _, size in self._free), default=0)
 
-    @property
-    def live_allocations(self) -> int:
-        """Number of outstanding allocations."""
-        return len(self._live)
-
     def fragmentation(self) -> float:
         """1 - largest_free/total_free; 0 when unfragmented or full."""
         avail = self.available

@@ -11,10 +11,10 @@ the *model* of those failures:
   either written explicitly (tests, demos) or *generated* from a seed
   (:meth:`FaultPlan.generate`), and the same seed always produces the
   same schedule — results under fault injection stay reproducible.
-* :class:`FaultInjector` — the runtime object the engines consult.  It is
-  attached to the :class:`~repro.sim.engine.Environment` event loop
-  (``env.attach_fault_injector``) so time-scheduled faults *arm* exactly
-  when the simulated clock reaches them, and consumed by the hooks in
+* :class:`FaultInjector` — the runtime object the engines consult.  Every
+  query first arms the faults whose time the simulated clock has reached
+  (:meth:`FaultInjector.on_step`), so nothing is attached to the event
+  loop; armed faults are consumed by the hooks in
   :mod:`repro.gpu.block_scheduler` (kernel hangs / launch failures),
   :mod:`repro.gpu.dma` (engine stalls) and
   :mod:`repro.framework.power_monitor` (sample dropouts).
@@ -265,14 +265,6 @@ class FaultPlan:
         """Arm times of every planned harness crash, earliest first."""
         return [
             f.time for f in self.faults if f.kind is FaultKind.HARNESS_CRASH
-        ]
-
-    def device_faults(self) -> List[FaultSpec]:
-        """Every fleet-level fault (DEVICE_LOSS / DEVICE_THROTTLE)."""
-        return [
-            f
-            for f in self.faults
-            if f.kind in (FaultKind.DEVICE_LOSS, FaultKind.DEVICE_THROTTLE)
         ]
 
     def loss_specs(self) -> List[FaultSpec]:
@@ -600,12 +592,12 @@ class FaultInjector:
     """Runtime fault state for one simulation run.
 
     The injector holds the plan's specs in a pending queue ordered by arm
-    time.  ``on_step`` (called by the environment at every event pop)
-    moves due specs into per-kind armed queues; the engine hooks consume
-    armed faults the next time a matching activity occurs.  Every applied
-    fault is appended to :attr:`records` and, when a trace is attached,
-    marked as an instant on the ``resilience`` track so Chrome-trace
-    exports show exactly where faults landed.
+    time.  ``on_step`` (called at the top of every query) moves due specs
+    into per-kind armed queues; the engine hooks consume armed faults the
+    next time a matching activity occurs.  Every applied fault is appended
+    to :attr:`records` and, when a trace is attached, marked as an instant
+    on the ``resilience`` track so Chrome-trace exports show exactly where
+    faults landed.
     """
 
     def __init__(
@@ -638,13 +630,6 @@ class FaultInjector:
         # Per-window jitter streams, created lazily and seeded from the
         # spec itself so every draw is independent of global rng state.
         self._jitter_rng: Dict[int, np.random.Generator] = {}
-        # Harness crashes are scheduled by the serving engine up front
-        # (they kill the whole run, not one activity); armed specs are
-        # parked here so they never leak into another kind's queue.
-        # Device losses are likewise consumed by the fleet registry's own
-        # loss processes, never by an engine hook.
-        self._armed_crashes: List[FaultSpec] = []
-        self._armed_losses: List[FaultSpec] = []
 
     def __repr__(self) -> str:
         return (
@@ -652,7 +637,7 @@ class FaultInjector:
             f"pending={len(self._pending)}>"
         )
 
-    # -- event-loop hook ---------------------------------------------------
+    # -- arming ------------------------------------------------------------
 
     def on_step(self, now: float) -> None:
         """Arm every pending fault whose time has been reached."""
@@ -663,10 +648,12 @@ class FaultInjector:
                 self._armed_kernel.append(spec)
             elif spec.kind is FaultKind.DMA_STALL:
                 self._armed_stalls.append(spec)
-            elif spec.kind is FaultKind.HARNESS_CRASH:
-                self._armed_crashes.append(spec)
-            elif spec.kind is FaultKind.DEVICE_LOSS:
-                self._armed_losses.append(spec)
+            elif spec.kind in (FaultKind.HARNESS_CRASH, FaultKind.DEVICE_LOSS):
+                # Run by processes the harnesses and the fleet registry
+                # start from the plan (a crash kills the whole run, a loss
+                # a whole device), never by an engine hook: drop the spec
+                # so it cannot leak into another kind's queue.
+                continue
             elif spec.kind is FaultKind.DEVICE_THROTTLE:
                 self._throttle_windows.append(spec)
             elif spec.kind is FaultKind.SMX_SLOWDOWN:

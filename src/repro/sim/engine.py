@@ -42,9 +42,6 @@ class Environment:
         self._eid = count()
         self._active_process: Optional[Process] = None
         self._events_processed: int = 0
-        # Optional resilience hook (see repro.resilience.faults).  None in
-        # every ordinary run; the step loop only pays one attribute check.
-        self._fault_injector: Optional[Any] = None
         # Optional strided integrity probe (see repro.integrity.invariants).
         # The step loop compares the pop count with ``_probe_at`` (-1,
         # never reached, while unset) and does nothing else.  The strided
@@ -88,24 +85,6 @@ class Environment:
         return self._queue[0][0] if self._queue else Infinity
 
     @property
-    def fault_injector(self) -> Optional[Any]:
-        """The attached fault injector, if any (see :mod:`repro.resilience`)."""
-        return self._fault_injector
-
-    def attach_fault_injector(self, injector: Any) -> None:
-        """Install a fault injector on the event loop.
-
-        The injector's ``on_step(now)`` is invoked at every event pop so
-        time-scheduled faults arm exactly when the simulated clock reaches
-        them.  Pass ``None`` to detach.  With no injector attached the run
-        loop behaviour (and therefore every result) is byte-identical to an
-        environment that never heard of fault injection.
-        """
-        if injector is not None and not hasattr(injector, "on_step"):
-            raise TypeError(f"{injector!r} has no on_step(now) hook")
-        self._fault_injector = injector
-
-    @property
     def probe(self) -> Optional[Any]:
         """The installed strided probe, if any (see :mod:`repro.integrity`)."""
         return self._probe
@@ -115,8 +94,7 @@ class Environment:
         event pop.
 
         Used by the integrity subsystem's invariant checker.  The probe
-        runs after the fault injector (so it observes post-fault state)
-        and before event callbacks.  One slot only — a second install
+        runs before the popped event's callbacks.  One slot only — a second install
         without :meth:`clear_probe` is a wiring bug and raises.  With no
         probe installed the run loop is byte-identical to one that never
         heard of probes.
@@ -201,8 +179,6 @@ class Environment:
             raise EventError("no scheduled events left") from None
         self._events_processed = popped = self._events_processed + 1
 
-        if self._fault_injector is not None:
-            self._fault_injector.on_step(self._now)
         if popped == self._probe_at:
             self._probe_at = popped + self._probe_stride
             self._probe(self._now)

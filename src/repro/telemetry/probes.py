@@ -23,17 +23,19 @@ from .sampler import Telemetry
 if TYPE_CHECKING:  # pragma: no cover
     from ..fleet.coordinator import FailoverCoordinator
     from ..fleet.health import HealthMonitor
-    from ..fleet.registry import FleetDevice
+    from ..fleet.registry import DeviceRegistry
+    from ..framework.world import DeviceWorld
     from ..gpu.device import GPUDevice
     from ..sim.engine import Environment
 
 __all__ = [
+    "instrument_run",
     "instrument_environment",
     "instrument_device",
     "instrument_records",
     "instrument_injector",
     "instrument_health_monitor",
-    "instrument_fleet_device",
+    "instrument_fleet_health",
     "instrument_failover",
     "instrument_hedging",
     "instrument_cascade",
@@ -58,6 +60,30 @@ def _pull_counter(counter, read: Callable[[], float], **labels) -> Callable[[], 
             last[0] = current
 
     return probe
+
+
+def instrument_run(
+    telemetry: Telemetry,
+    env: "Environment",
+    records: Iterable,
+    worlds: Iterable["DeviceWorld"],
+    injector=None,
+) -> None:
+    """Attach ``telemetry`` to a run and wire its standard probes.
+
+    The event loop, then each device world (its GPU and its fault
+    injector, labelled by device index), the run's records, and
+    ``injector``: one that no world owns, such as the batch harness's
+    empty-plan injector.
+    """
+    telemetry.attach(env)
+    instrument_environment(telemetry, env)
+    for world in worlds:
+        label = str(world.index)
+        instrument_device(telemetry, world.gpu, device_label=label)
+        instrument_injector(telemetry, world.injector, device_label=label)
+    instrument_records(telemetry, records)
+    instrument_injector(telemetry, injector)
 
 
 # -- sim engine ------------------------------------------------------------
@@ -324,19 +350,22 @@ def instrument_injector(
 _HEALTH_SCORE = {"healthy": 2.0, "degraded": 1.0, "lost": 0.0}
 
 
-def instrument_fleet_device(telemetry: Telemetry, device: "FleetDevice") -> None:
-    """GPU signals plus registry health for one fleet slot."""
-    label = str(device.index)
-    instrument_device(telemetry, device.gpu, device_label=label)
-    instrument_injector(telemetry, device.injector, device_label=label)
+def instrument_fleet_health(
+    telemetry: Telemetry, registry: "DeviceRegistry"
+) -> None:
+    """Registry health of every fleet slot."""
     health = telemetry.gauge(
         "repro_fleet_device_health",
         "Registry health (2 healthy / 1 degraded / 0 lost)",
         labelnames=("device",),
     )
-    telemetry.add_probe(
-        lambda: health.set(_HEALTH_SCORE[device.state.value], device=label)
-    )
+    for device in registry:
+        label = str(device.index)
+        telemetry.add_probe(
+            lambda d=device, label=label: health.set(
+                _HEALTH_SCORE[d.state.value], device=label
+            )
+        )
 
 
 def instrument_health_monitor(

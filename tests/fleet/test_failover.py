@@ -253,6 +253,28 @@ class TestCrashDuringFailoverResume:
         assert "failover" in events
         assert events.count("app") == NUM_APPS
 
+    def test_crash_after_last_app_is_journaled(self, tmp_path, loss_plan, lossy):
+        # Planned past the makespan, the crash fires in the settle pass:
+        # it must still be marked in the journal, and resume must still
+        # reproduce the uninterrupted run.
+        from repro.integrity import decode_line
+
+        ref_path = tmp_path / "uninterrupted.jsonl"
+        self._journal_run(loss_plan, ref_path)
+        crash_plan = FaultPlan(
+            list(loss_plan.faults)
+            + [FaultSpec(FaultKind.HARNESS_CRASH, lossy.total_time * 2)]
+        )
+        crash_path = tmp_path / "crashed.jsonl"
+        with pytest.raises(HarnessCrash):
+            self._journal_run(crash_plan, crash_path)
+        last = decode_line(crash_path.read_bytes().splitlines()[-1])
+        assert last.get("journal-marker") == "crash"
+
+        resumed = self._journal_run(crash_plan, crash_path, resume=True)
+        assert resumed.completed == NUM_APPS
+        assert crash_path.read_bytes() == ref_path.read_bytes()
+
     def test_resume_against_wrong_plan_rejected(self, tmp_path, loss_plan):
         from repro.serving import JournalMismatchError
 

@@ -55,10 +55,6 @@ class TestDeviceVariants:
         result = run(copy_policy="fifo")
         assert result.makespan > 0
 
-    def test_least_loaded_stream_policy(self):
-        result = run(stream_policy="least-loaded")
-        assert {r.stream_index for r in result.records} == {0, 1}
-
 
 class TestSyncInteraction:
     def test_sync_single_app_no_deadlock(self):

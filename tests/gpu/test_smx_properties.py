@@ -84,8 +84,8 @@ def test_smx_occupancy_invariants_under_throttle(workload):
             for start, length, factor in throttle_windows
         ]
     )
-    env.attach_fault_injector(FaultInjector(env, plan))
-    device = GPUDevice(env)
+    injector = FaultInjector(env, plan)
+    device = GPUDevice(env, injector=injector)
     issued = []
 
     for stream_cmds in per_stream:
@@ -119,6 +119,9 @@ def test_smx_occupancy_invariants_under_throttle(workload):
         assert smx.free_registers == spec.registers
     assert device.smx.resident_blocks == 0
     assert device.smx.resident_threads == 0
+    # Only the planned throttles can have been applied.
+    assert all(r.kind is FaultKind.DEVICE_THROTTLE for r in injector.records)
+    assert len(injector.records) <= len(plan)
 
 
 @settings(max_examples=20, deadline=None)
@@ -129,12 +132,14 @@ def test_smx_occupancy_invariants_under_throttle(workload):
 )
 def test_throttle_only_stretches_time_not_occupancy(blocks, tpb, factor):
     """A throttled run places the same waves, just slower."""
+    plan = FaultPlan(
+        [FaultSpec(FaultKind.DEVICE_THROTTLE, 0.0, duration=1.0, factor=factor)]
+    )
 
-    def run(plan):
+    def run(throttle):
         env = Environment()
-        if plan is not None:
-            env.attach_fault_injector(FaultInjector(env, plan))
-        device = GPUDevice(env)
+        injector = FaultInjector(env, plan) if throttle else None
+        device = GPUDevice(env, injector=injector)
         stream = device.create_stream()
         kd = KernelDescriptor(
             "k", Dim3(blocks), Dim3(tpb),
@@ -144,12 +149,9 @@ def test_throttle_only_stretches_time_not_occupancy(blocks, tpb, factor):
         env.run()
         assert cmd.done.ok
         _check_occupancy(device)
-        return cmd.done.value - cmd.started.value
+        return cmd.done.value - cmd.started.value, injector
 
-    clean = run(None)
-    throttled = run(
-        FaultPlan(
-            [FaultSpec(FaultKind.DEVICE_THROTTLE, 0.0, duration=1.0, factor=factor)]
-        )
-    )
-    assert throttled >= clean
+    clean, _ = run(False)
+    throttled, injector = run(True)
+    assert throttled > clean
+    assert injector.applied_counts() == {"device_throttle": 1}
