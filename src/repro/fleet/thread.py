@@ -178,7 +178,7 @@ class FleetAppThread(AppThread):
         loss_time = getattr(cause, "time", self.env.now)
         reexec = sum(
             1 for cmd in self.ctx.kernel_commands
-            if cmd.started.triggered and cmd.started.value <= loss_time
+            if cmd.start_time is not None and cmd.start_time <= loss_time
             and cmd not in self._counted
         )
         self.reset_attempt()
@@ -249,11 +249,11 @@ class FleetAppThread(AppThread):
             counted.add(cmd)
             if observe is not None:
                 # Latency stretch over the ideal time at spec clocks (one
-                # block_duration per wave).  Both events have triggered,
-                # so read the raw slots, not the guarded properties.
+                # block_duration per wave).  ``done`` has triggered, so
+                # read its raw slot, not the guarded property.
                 ideal = (cmd.waves or 1) * block_duration
                 if ideal > 0:
-                    observe((event._value - cmd.started._value) / ideal)
+                    observe((event._value - cmd.start_time) / ideal)
 
         cmd.done.callbacks.append(note)
 
@@ -282,6 +282,6 @@ class FleetAppThread(AppThread):
                 ckpt.restore_bytes += cmd.nbytes
             counted.add(cmd)
             if observe is not None and wire > 0:
-                observe((event._value - cmd.started._value) / wire)
+                observe((event._value - cmd.start_time) / wire)
 
         cmd.done.callbacks.append(note)

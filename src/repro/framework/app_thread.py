@@ -35,6 +35,7 @@ from ..gpu.commands import (
 )
 from ..gpu.device import GPUDevice
 from ..gpu.specs import HostSpec
+from ..sim.errors import EventError
 from ..sim.events import AllOf
 from .kernel import (
     HostComputePhase,
@@ -378,7 +379,7 @@ class AppThread:
                 nbytes=cmd.nbytes,
                 buffer=cmd.buffer,
                 enqueued=cmd.enqueue_time,
-                started=cmd.started.value,
+                started=_start_time(cmd),
                 completed=cmd.done.value,
             )
             record.transfers.append(ev)
@@ -405,7 +406,7 @@ class AppThread:
                 name=cmd.descriptor.name,
                 num_blocks=cmd.descriptor.num_blocks,
                 enqueued=cmd.enqueue_time,
-                started=cmd.started.value,
+                started=_start_time(cmd),
                 completed=cmd.done.value,
                 waves=cmd.waves,
             )
@@ -418,6 +419,15 @@ class AppThread:
                     )
                 if ev.completed > ev.started:
                     leaf(ctx, ev.name, "smx-exec", ev.started, ev.completed)
+
+
+def _start_time(cmd) -> float:
+    """A harvested command's start instant; like ``Event.value``, it
+    raises while the instant is still unset."""
+    start = cmd.start_time
+    if start is None:
+        raise EventError(f"start of {cmd!r} is not yet available")
+    return start
 
 
 def close_traces(tracer, trace_ctxs: Dict[int, object], records) -> None:

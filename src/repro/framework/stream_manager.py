@@ -12,7 +12,7 @@ schedule to the hardware queues the paper reasons about.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, List
 
 from ..gpu.device import GPUDevice
 from .stream import Stream
@@ -45,7 +45,6 @@ class StreamManager:
         self.streams: List[Stream] = [
             Stream(env, device.create_stream(), i) for i in range(num_streams)
         ]
-        self._assignments: Dict[int, int] = {s.index: 0 for s in self.streams}
         self._next = 0
 
     def __repr__(self) -> str:
@@ -62,12 +61,7 @@ class StreamManager:
         """Assign a stream to an application (called once per app thread)."""
         stream = self.streams[self._next % len(self.streams)]
         self._next += 1
-        self._assignments[stream.index] += 1
         return stream
-
-    def assignment_counts(self) -> Dict[int, int]:
-        """stream index -> number of apps assigned (diagnostics)."""
-        return dict(self._assignments)
 
     # -- teardown ------------------------------------------------------------
 
@@ -76,4 +70,3 @@ class StreamManager:
         for stream in self.streams:
             self.device.destroy_stream(stream.device_stream)
         self.streams.clear()
-        self._assignments.clear()

@@ -163,7 +163,8 @@ class GridEngine:
 
         Returns ``None`` when an injected launch failure rejected the
         command (its ``done`` event fails with a
-        :class:`~repro.sim.errors.FaultError`; ``started`` never fires).
+        :class:`~repro.sim.errors.FaultError`; ``start_time`` stays
+        ``None``).
         """
         hang_factor = 1.0
         if self.injector is not None:
@@ -251,7 +252,7 @@ class GridEngine:
                 self._executing += 1
                 if grid.to_place == kernel._num_blocks:
                     # First blocks of this launch.
-                    grid.cmd.started.succeed(now)
+                    grid.cmd.mark_started(now)
                     grid.cmd.first_block_time = now
                     executing += 1
             grid.to_place -= placed

@@ -13,6 +13,7 @@ paper's experiments — it is the substrate those layers run on.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import count
 from typing import Dict, List, Optional, Tuple
 
@@ -185,10 +186,11 @@ class GPUDevice:
         # active-stream term).
         self._stream_inflight: Dict[int, int] = {}
         self._active_streams: int = 0
-        # Power inputs seen so far, keyed by (resident threads, busy copy
-        # engines, any command in flight, active streams), each with its
-        # validated PowerState.  Only a valid state is ever stored.
-        self._power_states: Dict[Tuple[int, int, bool, int], PowerState] = {}
+        # Board power for each input seen so far, keyed by (resident
+        # threads, busy copy engines, any command in flight, active
+        # streams).  A key's PowerState is built, validated and evaluated
+        # once; only the watts of a valid state are ever stored.
+        self._power_watts: Dict[Tuple[int, int, bool, int], float] = {}
         # Statistics
         self.commands_issued: int = 0
 
@@ -232,24 +234,23 @@ class GPUDevice:
         if not deps:
             self._dispatch(cmd)
         elif len(deps) == 1:
-            deps[0].callbacks.append(lambda _e, c=cmd: self._dispatch(c))
+            deps[0].callbacks.append(partial(self._dispatch, cmd))
         else:
             gate = AllOf(self.env, deps)
-            gate.callbacks.append(lambda _e, c=cmd: self._dispatch(c))
+            gate.callbacks.append(partial(self._dispatch, cmd))
 
-    def _dispatch(self, cmd: Command) -> None:
-        """Route a dependency-free command to its engine."""
+    def _dispatch(self, cmd: Command, _dep: Optional[Event] = None) -> None:
+        """Route a dependency-free command to its engine (``_dep`` is the
+        dependency whose completion released it, if any)."""
         now = self.env.now
-        cmd.ready.succeed(now)
+        cmd.mark_ready(now)
         self._inflight += 1
         sid = cmd.stream_id
         prev = self._stream_inflight.get(sid, 0)
         self._stream_inflight[sid] = prev + 1
         if prev == 0:
             self._active_streams += 1
-        cmd.done.callbacks.append(
-            lambda _e, s=sid: self._command_retired(s)
-        )
+        cmd.done.callbacks.append(partial(self._command_retired, sid))
         if isinstance(cmd, MemcpyCommand):
             if cmd.direction is CopyDirection.HTOD:
                 self._htod.submit(cmd)
@@ -258,14 +259,16 @@ class GPUDevice:
         elif isinstance(cmd, KernelLaunchCommand):
             self.grid_engine.submit(cmd)
         elif isinstance(cmd, MarkerCommand):
-            cmd.started.succeed(now)
+            cmd.mark_started(now)
             cmd.done.succeed(now)
         else:  # pragma: no cover - defensive
             raise TypeError(f"cannot dispatch {cmd!r}")
         if prev == 0:
             self._power_changed()
 
-    def _command_retired(self, stream_id: Optional[int]) -> None:
+    def _command_retired(
+        self, stream_id: Optional[int], _done: Optional[Event] = None
+    ) -> None:
         self._inflight -= 1
         remaining = self._stream_inflight.get(stream_id, 0) - 1
         self._stream_inflight[stream_id] = remaining
@@ -282,16 +285,17 @@ class GPUDevice:
             self._inflight > 0,
             self._active_streams,
         )
-        state = self._power_states.get(key)
-        if state is None:
-            state = PowerState(
-                occupancy=min(self.smx.thread_occupancy, 1.0),
-                dma_busy=key[1],
-                any_active=key[2],
-                active_streams=key[3],
+        watts = self._power_watts.get(key)
+        if watts is None:
+            watts = self._power_watts[key] = self.power.evaluate(
+                PowerState(
+                    occupancy=min(self.smx.thread_occupancy, 1.0),
+                    dma_busy=key[1],
+                    any_active=key[2],
+                    active_streams=key[3],
+                )
             )
-            self._power_states[key] = state
-        self.power.update(state)
+        self.power.update(watts=watts)
 
     # -- global sync ---------------------------------------------------------
 

@@ -191,7 +191,7 @@ class CopyEngine:
                 if stretch != 1.0:
                     duration *= stretch
             start = env.now
-            cmd.started.succeed(start)
+            cmd.mark_started(start)
             self.busy = True
             if self.on_change is not None:
                 self.on_change()
@@ -201,8 +201,9 @@ class CopyEngine:
             self.commands_served += 1
             self.bytes_moved += cmd.nbytes
             self.busy_seconds += end - start
-            if cmd.ready.triggered and cmd.ready._value is not None:
-                self.wait_seconds += start - cmd.ready._value
+            ready = cmd.ready_time
+            if ready is not None:
+                self.wait_seconds += start - ready
             if self.trace is not None:
                 self.trace.record(
                     track=f"stream-{cmd.stream_id}",

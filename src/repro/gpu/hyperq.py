@@ -10,9 +10,9 @@ queue (more than 32 streams) still suffer false dependencies.
 
 This module implements both: a :class:`QueueFabric` with ``n`` queues and a
 deterministic stream->queue mapping (round-robin by stream id, matching the
-driver's grab-next-connection behaviour).  A command's ``ready`` event fires
-when *both* its stream predecessor and its hardware-queue predecessor have
-completed.
+driver's grab-next-connection behaviour).  A command becomes ready (its
+``ready_time`` is set) when *both* its stream predecessor and its
+hardware-queue predecessor have completed.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ model; tests compare the sampled estimate against the exact integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim.engine import Environment
 from .specs import PowerSpec
@@ -61,17 +61,17 @@ class PowerModel:
     The device re-evaluates power on every activity change, not once per
     instant; coalescing would change both the peak and those floats.
 
-    Bit-exact rule: :meth:`update` memoises :meth:`evaluate` per
-    :class:`PowerState` (the formula is a pure function of the state and
-    the frozen spec), so every watt value, and hence every energy
-    integral and peak, is the float a fresh evaluation would give.
+    Bit-exact rule: :meth:`update` takes either a :class:`PowerState` or
+    watts already computed by :meth:`evaluate`.  The device passes watts
+    it memoised per input key (the formula is a pure function of the
+    state and the frozen spec), so every watt value, and hence every
+    energy integral and peak, is the float a fresh evaluation would give.
     """
 
     def __init__(self, env: Environment, spec: PowerSpec) -> None:
         self.env = env
         self.spec = spec
         self._segments: List[Tuple[float, float]] = []  # (start_time, watts)
-        self._evaluated: Dict[PowerState, float] = {}
         self._current_power: float = self.evaluate(
             PowerState(occupancy=0.0, dma_busy=0, any_active=False)
         )
@@ -103,11 +103,15 @@ class PowerModel:
 
     # -- state updates -------------------------------------------------------
 
-    def update(self, state: PowerState) -> None:
-        """Record a state change at the current simulated time."""
-        new_power = self._evaluated.get(state)
-        if new_power is None:
-            new_power = self._evaluated[state] = self.evaluate(state)
+    def update(
+        self, state: Optional[PowerState] = None, watts: Optional[float] = None
+    ) -> None:
+        """Record a state change at the current simulated time.
+
+        Give either ``state`` or ``watts``, the value :meth:`evaluate`
+        returned for it.
+        """
+        new_power = self.evaluate(state) if watts is None else watts
         if new_power == self._current_power:
             return
         now = self.env._now

@@ -26,8 +26,6 @@ class TestStreamManager:
         """App k gets stream k mod NS — launch order maps onto the pool."""
         assigned = [manager.acquire(f"app#{i}").index for i in range(10)]
         assert assigned == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
-        counts = manager.assignment_counts()
-        assert counts == {0: 3, 1: 3, 2: 2, 3: 2}
 
     def test_destroy_all(self, manager):
         device = manager.device

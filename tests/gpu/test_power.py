@@ -131,6 +131,25 @@ class TestIntegration:
         model.update(idle_state())  # same power as initial
         assert len(model.segments()) == before
 
+    def test_update_by_watts_matches_update_by_state(self):
+        def run(by_watts):
+            env = Environment()
+            model = PowerModel(env, PowerSpec())
+
+            def driver():
+                for state in (busy_state(0.7, dma=1), idle_state(), busy_state(0.3)):
+                    if by_watts:
+                        model.update(watts=model.evaluate(state))
+                    else:
+                        model.update(state)
+                    yield env.timeout(1e-3)
+
+            env.process(driver())
+            env.run()
+            return model.segments(), model.energy(), model.peak_power
+
+        assert run(by_watts=True) == run(by_watts=False)
+
 
 
 class TestZeroDurationTransients:

@@ -35,7 +35,7 @@ COUNTED = {
 }
 
 EXPECTED_COUNTS = {
-    "events": 3008,
+    "events": 2168,
     "process_resumes": 590,
     "power_updates": 1672,
     "block_passes": 768,
